@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <iostream>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "src/common/stats.h"
@@ -75,14 +76,14 @@ int main() {
   std::cout << "\n(b) Solver runtime:\n";
   solver.Print(std::cout);
 
-  // (c) Parallel solver + expected-capacity cache: same workload, sweeping
-  // branch-and-bound worker threads (the returned schedules are identical by
-  // construction; only wall clock moves, and only on multi-core hardware) and
-  // toggling the incremental Eq. 3 cache.
-  std::cout << "\n(c) Wave-parallel solver and capacity-cache ablation:\n";
+  // (c) Simplex basis warm-start ablation: same workload, with every
+  // branch-and-bound node solving its LP from the slack basis instead of
+  // re-optimizing the parent's basis with dual pivots (deterministic, but
+  // degenerate LP ties may break differently than warm).
+  std::cout << "\n(c) Basis warm-start ablation:\n";
   {
-    TablePrinter par({"config", "mean solver (s)", "speedup", "nodes/s",
-                      "mean cycle (s)", "cache hit %"});
+    TablePrinter basis({"config", "mean solver (s)", "nodes/s", "mean cycle (s)",
+                        "cache hit %"});
     ExperimentConfig config;
     config.cluster = ClusterGoogleScale();
     config.workload.duration = Hours(hours);
@@ -97,40 +98,19 @@ int main() {
     config.sched.max_pending_considered = 96;
     const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
 
-    double base_solver = 0.0;
-    for (const int threads : {1, 2, 4}) {
-      config.sched.solver_threads = threads;
-      config.sched.capacity_cache = true;
-      const RunMetrics m = RunSystem(SystemKind::kThreeSigma, config, workload);
-      if (threads == 1) {
-        base_solver = m.mean_solver_seconds;
-      }
-      const double speedup =
-          m.mean_solver_seconds > 0.0 ? base_solver / m.mean_solver_seconds : 0.0;
-      par.AddRow({std::to_string(threads) + " thread" + (threads == 1 ? "" : "s"),
-                  TablePrinter::Fmt(m.mean_solver_seconds, 3), TablePrinter::Fmt(speedup, 2),
-                  TablePrinter::Fmt(m.solver_nodes_per_second, 0),
-                  TablePrinter::Fmt(m.mean_cycle_seconds, 3),
-                  TablePrinter::Fmt(100.0 * m.capacity_cache_hit_rate, 1)});
-    }
-    config.sched.solver_threads = 1;
-    config.sched.capacity_cache = false;
-    const RunMetrics nocache = RunSystem(SystemKind::kThreeSigma, config, workload);
-    par.AddRow({"1 thread, no cache", TablePrinter::Fmt(nocache.mean_solver_seconds, 3), "-",
-                TablePrinter::Fmt(nocache.solver_nodes_per_second, 0),
-                TablePrinter::Fmt(nocache.mean_cycle_seconds, 3), "-"});
-    // Cold-basis ablation: every branch-and-bound node solves its LP from the
-    // slack basis instead of re-optimizing the parent's basis with dual pivots
-    // (deterministic, but degenerate LP ties may break differently than warm).
-    config.sched.capacity_cache = true;
+    const RunMetrics warm = RunSystem(SystemKind::kThreeSigma, config, workload);
     config.sched.solver_basis_warmstart = false;
-    const RunMetrics coldbasis = RunSystem(SystemKind::kThreeSigma, config, workload);
-    par.AddRow({"1 thread, cold basis",
-                TablePrinter::Fmt(coldbasis.mean_solver_seconds, 3), "-",
-                TablePrinter::Fmt(coldbasis.solver_nodes_per_second, 0),
-                TablePrinter::Fmt(coldbasis.mean_cycle_seconds, 3),
-                TablePrinter::Fmt(100.0 * coldbasis.capacity_cache_hit_rate, 1)});
-    par.Print(std::cout);
+    const RunMetrics cold = RunSystem(SystemKind::kThreeSigma, config, workload);
+    config.sched.solver_basis_warmstart = true;
+    const auto add_row = [&basis](const std::string& name, const RunMetrics& m) {
+      basis.AddRow({name, TablePrinter::Fmt(m.mean_solver_seconds, 3),
+                    TablePrinter::Fmt(m.solver_nodes_per_second, 0),
+                    TablePrinter::Fmt(m.mean_cycle_seconds, 3),
+                    TablePrinter::Fmt(100.0 * m.capacity_cache_hit_rate, 1)});
+    };
+    add_row("warm basis", warm);
+    add_row("cold basis", cold);
+    basis.Print(std::cout);
 
     // (d) Shard decomposition sweep (--solver-shards): the same workload with
     // the per-cycle MILP split into connected components. The SCALABILITY
@@ -144,19 +124,14 @@ int main() {
                  "total B&B nodes):\n";
     TablePrinter shards({"config", "mean solver (s)", "total B&B nodes", "node ratio",
                          "mean shards", "max shard vars"});
-    config.sched.solver_threads = 1;
-    config.sched.capacity_cache = true;
-    config.sched.solver_basis_warmstart = true;
-    config.sched.solver_shards = false;
-    const RunMetrics shard_off = RunSystem(SystemKind::kThreeSigma, config, workload);
-    shards.AddRow({"shards off", TablePrinter::Fmt(shard_off.mean_solver_seconds, 3),
-                   std::to_string(shard_off.total_milp_nodes), "1.00", "-", "-"});
+    shards.AddRow({"shards off", TablePrinter::Fmt(warm.mean_solver_seconds, 3),
+                   std::to_string(warm.total_milp_nodes), "1.00", "-", "-"});
     config.sched.solver_shards = true;
     for (const int threads : {1, 4}) {
       config.sched.solver_threads = threads;
       const RunMetrics m = RunSystem(SystemKind::kThreeSigma, config, workload);
       const double ratio = m.total_milp_nodes > 0
-                               ? static_cast<double>(shard_off.total_milp_nodes) /
+                               ? static_cast<double>(warm.total_milp_nodes) /
                                      static_cast<double>(m.total_milp_nodes)
                                : 0.0;
       shards.AddRow({"shards on, " + std::to_string(threads) + " thread" +

@@ -71,32 +71,6 @@ void BM_MilpSchedulerShaped(benchmark::State& state) {
 }
 BENCHMARK(BM_MilpSchedulerShaped)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
-// Thread-count sweep over the wave-parallel branch-and-bound (deep node
-// budget so the search is LP-bound). The solution is identical at every
-// thread count (deterministic waves); only the wall clock should move.
-// Speedup is only visible on multi-core hardware.
-void BM_MilpParallel(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  Rng rng(42);
-  std::vector<int> int_vars;
-  const LpModel model = SchedulerShapedModel(64, 12, 24, rng, &int_vars);
-  ThreadPool pool(threads);
-  MilpOptions options;
-  options.max_nodes = 200;
-  options.pool = &pool;
-  int64_t nodes = 0;
-  for (auto _ : state) {
-    MilpSolver solver(model, int_vars);
-    const MilpSolution sol = solver.Solve(options);
-    nodes += sol.nodes_explored;
-    benchmark::DoNotOptimize(sol.objective);
-  }
-  state.counters["nodes/s"] =
-      benchmark::Counter(static_cast<double>(nodes), benchmark::Counter::kIsRate);
-  state.counters["threads"] = threads;
-}
-BENCHMARK(BM_MilpParallel)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
 // Warm-start ablation: solving with the previous solution as the incumbent
 // vs from scratch (the paper's primary scalability optimization).
 void BM_MilpWarmStart(benchmark::State& state) {
@@ -211,7 +185,6 @@ void BM_MilpShardDecomposition(benchmark::State& state) {
   Rng rng(99);
   std::vector<int> int_vars;
   const LpModel model = MultiComponentModel(components, 6, 3, 4, rng, &int_vars);
-  ThreadPool pool(4);
   // Cap far above the sharded need; the monolithic tree may hit it at high
   // component counts, making the reported reduction a lower bound.
   constexpr int64_t kNodeCap = 50000;
@@ -219,9 +192,10 @@ void BM_MilpShardDecomposition(benchmark::State& state) {
   int64_t replays = 0;
   double objective = 0.0;
   if (sharded) {
+    ThreadPool pool(4);
     ShardedMilpOptions options;
     options.base.max_nodes = kNodeCap;
-    options.base.pool = &pool;
+    options.pool = &pool;
     for (auto _ : state) {
       const ShardedMilpSolution sol = SolveShardedMilp(model, int_vars, options);
       nodes += sol.merged.nodes_explored;
@@ -232,7 +206,6 @@ void BM_MilpShardDecomposition(benchmark::State& state) {
   } else {
     MilpOptions options;
     options.max_nodes = kNodeCap;
-    options.pool = &pool;
     for (auto _ : state) {
       MilpSolver solver(model, int_vars);
       const MilpSolution sol = solver.Solve(options);

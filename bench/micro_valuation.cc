@@ -51,7 +51,7 @@ UtilityFunction UtilityFor(int kind) {
   }
 }
 
-// The generic path exactly as the scheduler's engine-off branch runs it:
+// The generic path exactly as the scheduler ran it before the engine:
 // Scaled() materialization per group, Survival per slot offset, and the
 // std::function-free template ExpectedValue per start slot.
 double ValueJobGeneric(const EmpiricalDistribution& dist, const UtilityFunction& u) {
@@ -88,7 +88,7 @@ double ValueJobEngine(const ValuationEngine& engine, const UtilityFunction& u) {
 }
 
 ValuationEngine WarmEngine(const EmpiricalDistribution& dist, const UtilityFunction& u) {
-  ValuationEngine engine(ValuationEngine::Config{/*cache=*/true, /*crosscheck=*/false});
+  ValuationEngine engine(ValuationEngine::Config{/*crosscheck=*/false});
   for (int g = 0; g < kGroups; ++g) {
     engine.Tables(1, kGroupMult[g], dist, u, nullptr);
   }
@@ -162,7 +162,7 @@ void BM_TablesBuildMiss(benchmark::State& state) {
   const EmpiricalDistribution dist = Fig06Distribution();
   const UtilityFunction u = UtilityFor(0);
   for (auto _ : state) {
-    ValuationEngine engine(ValuationEngine::Config{true, false});
+    ValuationEngine engine(ValuationEngine::Config{/*crosscheck=*/false});
     benchmark::DoNotOptimize(engine.Tables(1, 1.5, dist, u, nullptr));
   }
 }

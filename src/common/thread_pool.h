@@ -1,15 +1,15 @@
 // Fixed-size worker pool for data-parallel loops.
 //
-// Built for the parallel branch-and-bound solver: each scheduling cycle runs
-// many short ParallelFor batches (one per tree wave), so workers are
-// persistent and a batch dispatch is one mutex round-trip, not N thread
-// spawns. The calling thread participates as worker 0, so a pool of size N
+// Shared by the scheduler's per-cycle fan-outs (valuation, MILP shards) and
+// the digital-twin scenario sweep: each cycle runs short ParallelFor
+// batches, so workers are persistent and a batch dispatch is one mutex
+// round-trip, not N thread spawns. The calling thread participates as worker 0, so a pool of size N
 // uses N - 1 background threads and a pool of size 1 degenerates to a plain
 // loop with no locking at all.
 //
 // Indices are handed out through a shared atomic cursor — a lock-free work
-// queue — so uneven item costs (LP solves vary wildly per node) balance
-// across workers automatically. Batch state is heap-shared so a straggling
+// queue — so uneven item costs (shard sizes vary wildly) balance across
+// workers automatically. Batch state is heap-shared so a straggling
 // worker that wakes after a batch drained only ever observes an exhausted
 // cursor; it can never touch the next batch's state by accident.
 

@@ -11,8 +11,9 @@ void RegisterExperimentFlags(FlagParser& parser, ExperimentFlags* flags) {
       .AddInt("nodes-per-group", &flags->nodes_per_group, "nodes per group")
       .AddDouble("cycle", &flags->cycle, "scheduling cycle period in seconds")
       .AddInt("solver-threads", &flags->solver_threads,
-              "MILP branch-and-bound worker threads (deterministic: any count "
-              "returns the same solution)")
+              "scheduler worker pool size for the valuation and shard "
+              "fan-outs (branch-and-bound is serial; any count returns the "
+              "same decisions)")
       .AddBool("solver-shards", &flags->solver_shards,
                "decompose each cycle MILP into connected components and solve "
                "them as independent sub-MILPs on the solver pool (exact; "
@@ -26,16 +27,6 @@ void RegisterExperimentFlags(FlagParser& parser, ExperimentFlags* flags) {
               "first; the rest waits)")
       .AddInt("start-slots", &flags->start_slots,
               "candidate deferred-start slots per (job, group) option")
-      .AddBool("capacity-cache", &flags->capacity_cache,
-               "incremental expected-capacity cache (vs. full Eq. 3 recompute "
-               "per cycle)")
-      .AddBool("valuation-engine", &flags->valuation_engine,
-               "closed-form Eq. 1 valuation kernels + parallel fan-out (off = "
-               "the generic per-atom loop; decisions are byte-identical either "
-               "way)")
-      .AddBool("valuation-cache", &flags->valuation_cache,
-               "memoize per-(job, scale) valuation tables across cycles "
-               "(engine only)")
       .AddBool("valuation-crosscheck", &flags->valuation_crosscheck,
                "debug: re-derive every kernel answer with the generic loop and "
                "abort on any bitwise divergence")
@@ -118,9 +109,6 @@ bool BuildExperimentConfig(const ExperimentFlags& flags, ExperimentConfig* confi
   config->sched.solver_max_nodes = static_cast<int>(flags.solver_max_nodes);
   config->sched.max_pending_considered = static_cast<int>(flags.max_pending);
   config->sched.num_start_slots = static_cast<int>(flags.start_slots);
-  config->sched.capacity_cache = flags.capacity_cache;
-  config->sched.valuation_engine = flags.valuation_engine;
-  config->sched.valuation_cache = flags.valuation_cache;
   config->sched.valuation_crosscheck = flags.valuation_crosscheck;
   config->sched.solver_basis_warmstart = flags.solver_basis_warmstart;
   config->obs.trace_json_out = flags.trace_out;

@@ -52,7 +52,7 @@ struct RunMetrics {
   int max_milp_variables = 0;
   int max_milp_rows = 0;
 
-  // Parallel-solver throughput: total branch-and-bound nodes over total
+  // Solver throughput: total branch-and-bound nodes over total
   // solver wall-clock (0 when no solver time was recorded).
   int64_t total_milp_nodes = 0;
   double solver_nodes_per_second = 0.0;
@@ -68,8 +68,7 @@ struct RunMetrics {
   int64_t capacity_cache_hits = 0;
   int64_t capacity_cache_misses = 0;
   double capacity_cache_hit_rate = 0.0;
-  // Valuation engine: Eq. 1 table-cache traffic and kernel evaluations
-  // (all zero when the engine is off).
+  // Valuation engine: Eq. 1 table-cache traffic and kernel evaluations.
   int64_t valuation_cache_hits = 0;
   int64_t valuation_cache_misses = 0;
   double valuation_cache_hit_rate = 0.0;

@@ -91,28 +91,22 @@ struct DistSchedulerConfig {
   // last solve (expected capacity drifts as conditional distributions age).
   Duration max_solve_skip = 30.0;
 
-  // Worker threads for the wave-parallel branch-and-bound solver (§4.3.6
-  // time budget stretches further when LP relaxations solve concurrently).
-  // The search is deterministic in this value's *presence*, not its size:
-  // any thread count returns bit-identical solutions.
+  // Size of the scheduler's worker pool (1 = no pool). It runs the per-job
+  // valuation fan-out and the shard fan-out (solver_shards), and the
+  // digital twin borrows it for scenario sweeps. Branch-and-bound itself is
+  // serial. Decisions are byte-identical at any value.
   int solver_threads = 1;
 
-  // Incremental expected-capacity cache: per (group, slot) Eq. 3 rows are
-  // updated by delta when a running job starts/completes/needs reconditioning
-  // instead of re-summing Σ k·(1 − CDF) over all running jobs every cycle.
-  // Each job's per-slot survival vector carries a validity horizon (the next
-  // time an atom of its conditioned distribution crosses a slot boundary);
-  // rows stay untouched until a horizon expires.
-  bool capacity_cache = true;
-  // Debug mode: after every incremental update, recompute all rows from
-  // scratch and TS_CHECK the delta-updated values match (the cache
-  // invariant). Costs the full recompute the cache saves; tests only.
+  // Debug mode for the incremental Eq. 3 capacity rows (see consumed_):
+  // after every delta update, recompute all rows from scratch and TS_CHECK
+  // the delta-updated values match. Costs the full recompute the
+  // incremental rows save; tests only.
   bool capacity_cache_crosscheck = false;
 
   // Simplex basis warm-starting (MilpOptions::basis_warmstart): B&B children
   // re-optimize from their parent's basis via dual pivots, and the previous
   // cycle's root basis seeds the next cycle's root relaxation. Affects LP
-  // pivot counts only; thread-count determinism is preserved.
+  // pivot counts only.
   bool solver_basis_warmstart = true;
 
   // Shard decomposition (src/solver/sharded_milp.h): split the cycle MILP
@@ -126,22 +120,10 @@ struct DistSchedulerConfig {
   // solver_max_nodes = 0 when comparing against the monolithic solve).
   bool solver_shards = false;
 
-  // Eq. 1 valuation engine (src/sched/valuation.h): closed-form utility
-  // kernels over precomputed prefix-sum tables, a deterministic parallel
-  // per-job fan-out across the solver thread pool, and zero-copy Eq. 2
-  // conditional-survival queries for running jobs. Off = the generic
-  // per-atom std::function path with per-cycle Scaled() materializations.
-  // Decisions are bit-identical either way (the kernels replay the generic
-  // accumulation exactly); only speed and the valuation counters change.
-  bool valuation_engine = true;
-  // Retain per-(job, scale) valuation tables across cycles, invalidated on
-  // re-prediction (arrival, fault restart — which covers OE-gate flips) and
-  // job exit. Off = the cache is cleared every cycle, so each (job, group)
-  // pays one table rebuild per cycle.
-  bool valuation_cache = true;
-  // Debug mode: every kernel and survival answer is re-derived with the
-  // generic per-atom loop and TS_CHECKed for bitwise equality. Costs what
-  // the kernels save; tests only.
+  // Debug mode for the Eq. 1 valuation engine (src/sched/valuation.h):
+  // every kernel and survival answer is re-derived with the generic
+  // per-atom loop and TS_CHECKed for bitwise equality. Costs what the
+  // kernels save; tests only.
   bool valuation_crosscheck = false;
 };
 
@@ -256,28 +238,24 @@ class DistributionScheduler : public Scheduler {
 
   // Pure per-slot survival vector of a running job at `now` (no cache or
   // under-estimate state mutation; shared by the cache refresh and the
-  // cross-check recompute). With the valuation engine on, the Eq. 2 ratios
-  // are served from the job's prefix-sum tables (zero-copy; may populate the
-  // mutable table cache) instead of a per-refresh Scaled() materialization.
+  // cross-check recompute). The Eq. 2 ratios are served from the job's
+  // valuation tables (zero-copy; may populate the mutable table cache).
   void ComputeRunningSurvival(const JobInfo& info, Time now, std::vector<double>* out) const;
 
   // Values one considered job's (group, slot) options into `out` using the
   // valuation engine's tables (which must already exist: the serial prepare
   // pass in RunCycleImpl builds them, so this is read-only and safe to run
-  // from pool workers). Bit-identical to ValueJobOptionsGeneric.
+  // from pool workers).
   void ValueJobOptions(const JobInfo& info, Time now, ValuationScratch& scratch,
                        JobValuation* out) const;
-  // The pre-engine path: per-(job, group) Scaled() materialization and the
-  // generic per-atom Eq. 1 loop.
-  void ValueJobOptionsGeneric(const JobInfo& info, Time now, ValuationScratch& scratch,
-                              JobValuation* out) const;
   // Recomputes a job's cached survival vector and its validity horizon
   // (calls UpdateUnderestimate first).
   void RefreshRunningSurvival(JobInfo& info, Time now);
   // Removes a job's applied contribution from consumed_ (no-op if none).
   void RetireCapacityContribution(JobInfo& info);
-  // Step 1 of RunCycle: brings consumed_ up to date for `now`, incrementally
-  // when the cache is enabled; fills the cycle's hit/miss counters.
+  // Step 1 of RunCycle: brings consumed_ up to date for `now` by delta
+  // updates (a full rebuild every kCacheRebuildPeriod solves); fills the
+  // cycle's hit/miss counters.
   void UpdateConsumed(Time now, const ClusterStateView& state, CycleResult* result);
 
   // RunCycle's body; the public wrapper publishes the cycle's outcome to the
@@ -296,7 +274,11 @@ class DistributionScheduler : public Scheduler {
   Time last_solve_ = -1e18;
 
   // Incremental Eq. 3 state: consumed_[g][i] = Σ k·(1 − CDF) over running
-  // jobs, maintained by delta updates (see DistSchedulerConfig::capacity_cache).
+  // jobs. Rows are updated by delta when a running job starts, completes, or
+  // needs reconditioning, instead of re-summing over all running jobs every
+  // cycle. Each job's per-slot survival vector carries a validity horizon
+  // (the next time an atom of its conditioned distribution crosses a slot
+  // boundary); its contribution stays untouched until the horizon expires.
   std::vector<std::vector<double>> consumed_;
   int64_t cache_hits_ = 0;
   int64_t cache_misses_ = 0;
@@ -320,7 +302,7 @@ class DistributionScheduler : public Scheduler {
   // kMaxShardBases (a hard bound on snapshot size and stale entries).
   std::map<uint64_t, LpBasis> shard_bases_;
 
-  // Shared across cycles so the parallel solver never re-spawns threads.
+  // Shared across cycles so the fan-outs never re-spawn threads.
   std::unique_ptr<ThreadPool> pool_;
 
   // Eq. 1 valuation engine state. Mutable because ComputeRunningSurvival is

@@ -79,7 +79,7 @@ struct CycleResult {
   int milp_variables = 0;
   int milp_rows = 0;
   int milp_nodes = 0;
-  // Parallel-solver diagnostics: deepest the subproblem queue got and how
+  // Branch-and-bound diagnostics: deepest the subproblem queue got and how
   // many times the incumbent improved during the solve.
   int milp_max_queue_depth = 0;
   int milp_incumbent_improvements = 0;
@@ -93,8 +93,7 @@ struct CycleResult {
   int64_t capacity_cache_hits = 0;
   int64_t capacity_cache_misses = 0;
   // Valuation-engine traffic this cycle: table cache hits/misses from the
-  // serial prepare pass and Eq. 1 kernel evaluations from the fan-out. All
-  // zero when the engine is off.
+  // serial prepare pass and Eq. 1 kernel evaluations from the fan-out.
   int64_t valuation_cache_hits = 0;
   int64_t valuation_cache_misses = 0;
   int64_t valuation_kernel_calls = 0;

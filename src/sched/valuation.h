@@ -8,9 +8,9 @@
 // plus a full Scaled() materialization per (job, group) per cycle whenever a
 // group runs the job slower than its preferred one. This engine replaces
 // that with per-(job, scale) query tables and closed-form kernels — and it
-// does so *bit-exactly*, because the committed golden decision traces (and
-// the MILP's float-tie-sensitive branching) must not move when the engine is
-// toggled.
+// does so *bit-exactly*: the committed golden decision traces (and the MILP's
+// float-tie-sensitive branching) were recorded with the generic loop, and
+// crosscheck mode re-derives every answer with it as a test-only oracle.
 //
 // Tables. For each (job, scale) pair the engine stores the scaled atom
 // values, their renormalized probabilities, and two prefix-sum arrays
@@ -131,10 +131,6 @@ struct ValuationScratch {
 class ValuationEngine {
  public:
   struct Config {
-    // Retain tables across cycles. Off still builds tables (the kernels need
-    // them) but the scheduler clears the cache every cycle, so every lookup
-    // is a miss.
-    bool cache = true;
     // Debug: re-derive every kernel and survival answer with the generic
     // per-atom loop and TS_CHECK bitwise equality. Tests only.
     bool crosscheck = false;

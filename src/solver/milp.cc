@@ -1,7 +1,6 @@
 #include "src/solver/milp.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -17,10 +16,10 @@
 namespace threesigma {
 namespace {
 
-// Nodes dispatched per wave when MilpOptions::batch_width is 0. Chosen large
-// enough to keep several workers busy once the tree fans out, small enough
-// that the incumbent bound (which only advances at wave commits) stays fresh.
-constexpr int kDefaultBatchWidth = 16;
+// Node-selection rule: nodes popped off the DFS stack per batch. Every node
+// of a batch is pre-pruned against the incumbent as of the batch start, so
+// this constant decides which nodes a budgeted search explores.
+constexpr int kBatchSize = 16;
 
 // A branching decision along the current tree path.
 struct BoundFix {
@@ -44,14 +43,6 @@ struct Node {
 };
 
 bool IsIntegral(double v, double tol) { return std::fabs(v - std::round(v)) <= tol; }
-
-// Per-worker scratch: a private model copy whose bounds are mutated along the
-// assigned node's tree path, then restored.
-struct Workspace {
-  explicit Workspace(const LpModel& model) : work(model) {}
-  LpModel work;
-  std::vector<int> touched;
-};
 
 }  // namespace
 
@@ -130,8 +121,7 @@ bool MilpSolver::GreedyRound(const std::vector<double>& relaxed, std::vector<dou
 MilpSolution MilpSolver::Solve(const MilpOptions& options) {
   // Phase::kOther: this span nests inside the scheduler's kSolve scope, and
   // tagging it with a profiler phase would double-count the solve time.
-  // Conditional (not pool-conditional): shard sub-solves suppress it in both
-  // the serial and pooled paths so traces stay thread-count-invariant.
+  // Shard sub-solves suppress it so traces stay thread-count-invariant.
   static const obs::SpanName kSolveSpanName("solver.milp", obs::Phase::kOther);
   std::optional<obs::Span> solve_span;
   if (options.emit_span) {
@@ -152,22 +142,9 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
 
   MilpSolution result;
 
-  // Worker setup. The caller always participates, so `workers` counts it;
-  // the sequential path (workers == 1, no pool) touches no thread machinery.
-  std::unique_ptr<ThreadPool> local_pool;
-  ThreadPool* pool = options.pool;
-  if (pool == nullptr && options.num_threads > 1) {
-    local_pool = std::make_unique<ThreadPool>(options.num_threads);
-    pool = local_pool.get();
-  }
-  const int workers = pool != nullptr ? pool->size() : 1;
-  const int batch_width = options.batch_width > 0 ? options.batch_width : kDefaultBatchWidth;
-
-  std::vector<Workspace> workspaces;
-  workspaces.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    workspaces.emplace_back(model_);
-  }
+  // Working copy whose bounds are set along each node's tree path, then
+  // restored.
+  LpModel work(model_);
 
   // Install the warm start as the initial incumbent if it is valid.
   bool have_incumbent = false;
@@ -191,15 +168,9 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
     }
   }
 
-  // The incumbent objective, readable lock-free by workers mid-wave. It only
-  // advances at the sequential wave commits below — that is what makes the
-  // search deterministic (see the header comment).
-  std::atomic<double> incumbent_bound{
-      have_incumbent ? best_obj : -std::numeric_limits<double>::infinity()};
-
   // Accepts a candidate incumbent under the deterministic total order:
   // higher objective wins; equal objectives go to the lexicographically
-  // smallest id. Only called from the sequential commit phase.
+  // smallest id.
   const auto consider_incumbent = [&](double obj, const std::string& id,
                                       std::vector<double>&& values, bool from_tree) {
     if (have_incumbent && !(obj > best_obj || (obj == best_obj && id < best_id))) {
@@ -224,9 +195,7 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
   stack.push_back(std::move(root));
   result.max_queue_depth = 1;
 
-  std::vector<Node> wave;
-  std::vector<LpSolution> relaxations;
-  std::vector<char> solved;
+  std::vector<Node> batch;
 
   while (!stack.empty()) {
     if ((options.max_nodes > 0 && result.nodes_explored >= options.max_nodes) ||
@@ -234,41 +203,40 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
       break;
     }
 
-    // --- Dispatch: pop the wave, pruning against the committed incumbent. --
     int budget_room = std::numeric_limits<int>::max();
     if (options.max_nodes > 0) {
       budget_room = options.max_nodes - result.nodes_explored;
     }
-    const int take =
-        std::min({batch_width, static_cast<int>(stack.size()), budget_room});
-    wave.clear();
+    const int take = std::min({kBatchSize, static_cast<int>(stack.size()), budget_room});
+    batch.clear();
     for (int i = 0; i < take; ++i) {
-      wave.push_back(std::move(stack.back()));
+      batch.push_back(std::move(stack.back()));
       stack.pop_back();
     }
+    // Incumbents found within the batch do not tighten its pre-prune bound.
+    const double batch_bound =
+        have_incumbent ? best_obj : -std::numeric_limits<double>::infinity();
 
-    // --- Solve: LP relaxations in parallel on private model copies. --------
-    // Per-node outcome: 0 = unsolved (wall clock expired), 1 = LP solved,
-    // 2 = pruned lock-free against the incumbent bound.
-    constexpr char kUnsolved = 0, kSolved = 1, kPruned = 2;
-    const int n = static_cast<int>(wave.size());
-    relaxations.assign(static_cast<size_t>(n), LpSolution{});
-    solved.assign(static_cast<size_t>(n), kUnsolved);
-    const auto solve_node = [&](int worker, int index) {
+    // Solve and commit in pop order; children go onto the stack, not into
+    // this batch.
+    const int n = static_cast<int>(batch.size());
+    bool timed_out = false;
+    for (int i = 0; i < n; ++i) {
       if (out_of_time()) {
-        return;  // Left unsolved; requeued by the commit phase.
+        // Requeue this and the remaining nodes (reverse order keeps the pop
+        // order intact).
+        for (int j = n - 1; j >= i; --j) {
+          stack.push_back(std::move(batch[static_cast<size_t>(j)]));
+        }
+        timed_out = true;
+        break;
       }
-      const Node& node = wave[static_cast<size_t>(index)];
-      // Lock-free bound prune. The atomic only advances at wave commits, so
-      // this reads the same value in every run — deterministic.
-      if (node.parent_bound <= incumbent_bound.load(std::memory_order_relaxed) + 1e-9) {
-        solved[static_cast<size_t>(index)] = kPruned;
-        return;
+      const Node& node = batch[static_cast<size_t>(i)];
+      if (node.parent_bound <= batch_bound + 1e-9) {
+        continue;  // Dominated subtree; not counted.
       }
-      Workspace& ws = workspaces[static_cast<size_t>(worker)];
       for (const BoundFix& fix : node.fixes) {
-        ws.work.SetVariableBounds(fix.var, fix.lower, fix.upper);
-        ws.touched.push_back(fix.var);
+        work.SetVariableBounds(fix.var, fix.lower, fix.upper);
       }
       SimplexOptions lp_options;
       if (options.basis_warmstart && node.parent_basis != nullptr) {
@@ -280,41 +248,10 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
         // pricing skips them.
         lp_options.presolve = false;
       }
-      relaxations[static_cast<size_t>(index)] = SolveLp(ws.work, lp_options);
-      for (int v : ws.touched) {
-        ws.work.SetVariableBounds(v, model_.lower(v), model_.upper(v));
+      const LpSolution relax = SolveLp(work, lp_options);
+      for (const BoundFix& fix : node.fixes) {
+        work.SetVariableBounds(fix.var, model_.lower(fix.var), model_.upper(fix.var));
       }
-      ws.touched.clear();
-      solved[static_cast<size_t>(index)] = kSolved;
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(n, solve_node);
-    } else {
-      for (int i = 0; i < n; ++i) {
-        solve_node(0, i);
-      }
-    }
-
-    // --- Commit: sequential, in pop order, so every incumbent update,
-    // prune, node count, and child push is deterministic. ------------------
-    bool timed_out = false;
-    for (int i = 0; i < n; ++i) {
-      Node& node = wave[static_cast<size_t>(i)];
-      if (solved[static_cast<size_t>(i)] == kPruned) {
-        continue;  // Dominated subtree; not counted, exactly like a pop-prune.
-      }
-      if (solved[static_cast<size_t>(i)] == kUnsolved) {
-        // Ran out of wall clock mid-wave: requeue this and the remaining
-        // unsolved nodes (reverse order keeps the pop order intact).
-        for (int j = n - 1; j >= i; --j) {
-          if (solved[static_cast<size_t>(j)] == kUnsolved) {
-            stack.push_back(std::move(wave[static_cast<size_t>(j)]));
-          }
-        }
-        timed_out = true;
-        break;
-      }
-      const LpSolution& relax = relaxations[static_cast<size_t>(i)];
       ++result.nodes_explored;
       result.lp_iterations += relax.iterations;
       result.lp_phase1_iterations += relax.stats.phase1_iterations;
@@ -399,9 +336,6 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
     }
     result.max_queue_depth =
         std::max(result.max_queue_depth, static_cast<int>(stack.size()));
-    if (have_incumbent) {
-      incumbent_bound.store(best_obj, std::memory_order_relaxed);
-    }
     if (timed_out) {
       break;
     }

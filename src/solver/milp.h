@@ -11,18 +11,15 @@
 //   - a greedy rounding pass on each LP relaxation supplies incumbents early
 //     so pruning is effective.
 //
-// Parallel search: the tree is explored in deterministic *waves*. Each wave
-// pops up to `batch_width` nodes off the subproblem stack, solves their LP
-// relaxations concurrently (`num_threads` workers, each with a private
-// LpModel copy, pulling node indices from a shared atomic cursor and reading
-// the atomic incumbent bound lock-free to skip dominated nodes), then
-// commits the results sequentially in pop order. Because the wave schedule
-// depends only on `batch_width` (never on thread count) and the incumbent
-// advances only at the sequential commits — with ties between equal-objective
-// incumbents broken toward the lexicographically smallest node id — the
-// explored tree, node counts, and returned solution are bit-identical for
-// any thread count. Only the wall-clock budget can break this (it truncates
-// the search at a hardware-dependent point).
+// Node selection: the tree is explored depth-first in batches. Each batch
+// pops up to 16 nodes off the subproblem stack and drops those whose parent
+// LP bound cannot beat the incumbent as of the batch start; the rest are
+// solved and committed one by one in pop order, their children going back
+// onto the stack. Ties between equal-objective incumbents go to the
+// lexicographically smallest node id. The explored tree, node counts, and
+// returned solution are a pure function of the model and options; only the
+// wall-clock budget can break this (it truncates the search at a
+// hardware-dependent point).
 
 #ifndef SRC_SOLVER_MILP_H_
 #define SRC_SOLVER_MILP_H_
@@ -30,7 +27,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/solver/lp_model.h"
 #include "src/solver/simplex.h"
 
@@ -93,24 +89,13 @@ struct MilpOptions {
   // Initial incumbent (e.g. the previous scheduling cycle's solution). Used
   // only if it is feasible for the current model.
   std::vector<double> warm_start;
-  // Worker threads for the wave-parallel search; <= 1 solves on the calling
-  // thread. Ignored when `pool` is set (the pool's size wins).
-  int num_threads = 1;
-  // Optional borrowed pool (must outlive Solve). Lets the scheduler reuse
-  // one pool across cycles instead of spawning threads per solve.
-  ThreadPool* pool = nullptr;
-  // Nodes dispatched per wave; 0 uses the default. Part of the deterministic
-  // schedule: the result depends on this value but never on thread count, so
-  // it must NOT be derived from num_threads.
-  int batch_width = 0;
   // Thread each node's optimal basis to its children, which then re-optimize
   // with a few dual pivots instead of a cold two-phase solve. Every
   // relaxation still solves to proven optimality, so bounds, prunes, and the
-  // returned objective are unaffected; thread-count determinism is fully
-  // preserved (the basis flow follows the thread-count-independent wave
-  // schedule). On a degenerate relaxation a warm solve may land on a
-  // different optimal vertex than a cold one, which can reorder branching —
-  // with a unique MILP optimum the returned solution is identical either way.
+  // returned objective are unaffected. On a degenerate relaxation a warm
+  // solve may land on a different optimal vertex than a cold one, which can
+  // reorder branching — with a unique MILP optimum the returned solution is
+  // identical either way.
   bool basis_warmstart = true;
   // Starting basis hint for the root relaxation (e.g. the previous cycle's
   // MilpSolution::root_basis). Ignored unless basis_warmstart is on.

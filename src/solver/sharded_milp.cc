@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <memory>
 #include <utility>
 
-#include "src/common/thread_pool.h"
 #include "src/obs/trace.h"
 
 namespace threesigma {
@@ -202,8 +200,6 @@ ShardedMilpSolution SolveShardedMilp(const LpModel& model,
   for (int s = 0; s < num_shards; ++s) {
     const MilpShard& shard = dec.shards[s];
     MilpOptions o = options.base;
-    o.num_threads = 1;
-    o.pool = nullptr;
     o.emit_span = false;
     o.root_basis = LpBasis{};
     o.warm_start.clear();
@@ -229,14 +225,8 @@ ShardedMilpSolution SolveShardedMilp(const LpModel& model,
     MilpSolver solver(dec.shards[s].model, dec.shards[s].integer_vars);
     results[s] = solver.Solve(shard_options[s]);
   };
-  std::unique_ptr<ThreadPool> local_pool;
-  ThreadPool* pool = options.base.pool;
-  if (pool == nullptr && options.base.num_threads > 1 && num_shards > 1) {
-    local_pool = std::make_unique<ThreadPool>(options.base.num_threads);
-    pool = local_pool.get();
-  }
-  if (pool != nullptr && pool->size() > 1 && num_shards > 1) {
-    pool->ParallelFor(num_shards, [&](int worker, int index) {
+  if (options.pool != nullptr && options.pool->size() > 1 && num_shards > 1) {
+    options.pool->ParallelFor(num_shards, [&](int worker, int index) {
       (void)worker;
       solve_one(index);
     });

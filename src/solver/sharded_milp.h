@@ -18,8 +18,8 @@
 //
 // Determinism: the decomposition is a deterministic union-find (components
 // ordered by smallest member variable index, variables and rows in ascending
-// model order inside each shard), every sub-solve runs the single-threaded
-// deterministic wave search, and the merge walks shards in order on the
+// model order inside each shard), every sub-solve runs the deterministic
+// serial branch-and-bound, and the merge walks shards in order on the
 // calling thread. The result is byte-identical at any shard/thread count.
 // Budgets are the one caveat: each shard receives the full node budget, so a
 // *binding* max_nodes explores a different (larger) portion of the tree than
@@ -38,6 +38,7 @@
 #include <map>
 #include <vector>
 
+#include "src/common/thread_pool.h"
 #include "src/solver/lp_model.h"
 #include "src/solver/milp.h"
 
@@ -74,12 +75,13 @@ ShardDecomposition DecomposeMilp(const LpModel& model,
                                  const std::vector<int>& integer_vars);
 
 struct ShardedMilpOptions {
-  // Per-shard solve options. `num_threads` / `pool` drive the shard fan-out;
-  // every sub-solve itself runs single-threaded (the parallelism is across
-  // shards). `warm_start` is sliced per shard; `root_basis` is ignored
-  // (per-shard bases come from `shard_bases`). `emit_span` is forced off for
-  // sub-solves so no span is emitted from pool workers.
+  // Per-shard solve options. `warm_start` is sliced per shard; `root_basis`
+  // is ignored (per-shard bases come from `shard_bases`). `emit_span` is
+  // forced off for sub-solves so no span is emitted from pool workers.
   MilpOptions base;
+  // Optional borrowed pool (must outlive the solve) for the shard fan-out;
+  // null solves the shards one after another on the calling thread.
+  ThreadPool* pool = nullptr;
   // Optional cross-cycle basis map, keyed by shard fingerprint. Read for
   // root-basis hints before the fan-out; updated in shard order with this
   // solve's root bases after the merge. May be nullptr.

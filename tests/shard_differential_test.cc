@@ -3,7 +3,7 @@
 // Two hundred seeded random 0/1 placement programs with varying component
 // structure — fully separable multi-block, fully connected via coupling
 // rows, and interleaved variable orders — are solved monolithically
-// (MilpSolver) and sharded (SolveShardedMilp), each at 1 and 4 threads.
+// (MilpSolver) and sharded (SolveShardedMilp, at 1 and 4 threads).
 // Components share no variables or rows, so the sharded solve is exact: the
 // merged objective must equal the monolithic one *bitwise* (the merge
 // recomputes it through the full model's accumulation order), and because
@@ -89,15 +89,13 @@ TEST(ShardDifferentialTest, MatchesMonolithicBitwiseAt1And4Threads) {
     bool coupled = false;
     const LpModel model = RandomShardedProgram(rng, &int_vars, &coupled);
 
-    // Unbudgeted monolithic reference (thread count is irrelevant to the
-    // answer; use the serial path).
+    // Unbudgeted monolithic reference.
     MilpSolver mono_solver(model, int_vars);
     const MilpSolution mono = mono_solver.Solve(MilpOptions{});
 
     ShardedMilpOptions serial;
-    serial.base.num_threads = 1;
     ShardedMilpOptions parallel;
-    parallel.base.pool = &pool;
+    parallel.pool = &pool;
     const ShardedMilpSolution sh1 = SolveShardedMilp(model, int_vars, serial);
     const ShardedMilpSolution sh4 = SolveShardedMilp(model, int_vars, parallel);
 
@@ -241,7 +239,7 @@ TEST(ShardDifferentialTest, WarmStartSlicesAcrossShards) {
     }
     ShardedMilpOptions options;
     options.base.warm_start = mono.values;
-    options.base.pool = &pool;
+    options.pool = &pool;
     const ShardedMilpSolution sharded = SolveShardedMilp(model, int_vars, options);
     ASSERT_EQ(sharded.merged.status, MilpStatus::kOptimal) << "program " << p;
     EXPECT_EQ(sharded.merged.objective, mono.objective) << "program " << p;
@@ -267,7 +265,7 @@ TEST(ShardDifferentialTest, ShardBasisMapNeverChangesTheAnswer) {
 
     std::map<uint64_t, LpBasis> bases;
     ShardedMilpOptions options;
-    options.base.pool = &pool;
+    options.pool = &pool;
     options.shard_bases = &bases;
     const ShardedMilpSolution first = SolveShardedMilp(model, int_vars, options);
     if (first.merged.status == MilpStatus::kInfeasible) {

@@ -79,7 +79,7 @@ TEST(ValuationTest, KernelsMatchGenericLoopBitwise) {
     const std::vector<double> scales = {1.0, 0.5, rng.Uniform(0.25, 4.0)};
     for (const UtilityFunction& u : utilities) {
       for (const double scale : scales) {
-        ValuationEngine engine(ValuationEngine::Config{/*cache=*/true, /*crosscheck=*/false});
+        ValuationEngine engine(ValuationEngine::Config{/*crosscheck=*/false});
         const ValuationTables& tables =
             engine.Tables(/*job=*/1, scale, dist, u, /*counters=*/nullptr);
         // Starts spanning before / across / far past the deadline, plus NaN.
@@ -110,7 +110,7 @@ TEST(ValuationTest, EmptyDistributionYieldsTrivialTables) {
   // in Scaled()/FromAtoms.
   const EmpiricalDistribution empty;
   const UtilityFunction u = UtilityFunction::SloStep(5.0, 100.0);
-  ValuationEngine engine(ValuationEngine::Config{true, true});  // Crosscheck on.
+  ValuationEngine engine(ValuationEngine::Config{/*crosscheck=*/true});
   for (const double scale : {1.0, 0.5, 2.0}) {
     const ValuationTables& tables = engine.Tables(7, scale, empty, u, nullptr);
     EXPECT_EQ(tables.size(), 0u);
@@ -127,7 +127,7 @@ TEST(ValuationTest, CrosscheckModePassesOnRandomInputs) {
     const EmpiricalDistribution dist = RandomDistribution(rng, 60);
     const double deadline = rng.Uniform(10.0, dist.MaxValue());
     const UtilityFunction u = UtilityFunction::SloStepWithDecay(10.0, deadline, deadline);
-    ValuationEngine engine(ValuationEngine::Config{true, /*crosscheck=*/true});
+    ValuationEngine engine(ValuationEngine::Config{/*crosscheck=*/true});
     const ValuationTables& tables = engine.Tables(1, 1.25, dist, u, nullptr);
     for (double start = 0.0; start < 2.0 * deadline; start += deadline / 16.0) {
       (void)engine.ExpectedUtility(tables, u, start, nullptr);
@@ -140,7 +140,7 @@ TEST(ValuationTest, CacheCountsHitsAndInvalidates) {
   Rng rng(3);
   const EmpiricalDistribution dist = RandomDistribution(rng, 40);
   const UtilityFunction u = UtilityFunction::SloStep(5.0, 500.0);
-  ValuationEngine engine(ValuationEngine::Config{true, false});
+  ValuationEngine engine(ValuationEngine::Config{/*crosscheck=*/false});
   ValuationCounters c;
   engine.Tables(1, 1.0, dist, u, &c);
   engine.Tables(1, 2.0, dist, u, &c);
@@ -166,7 +166,7 @@ TEST(ValuationTest, SaveStateRoundTripsKeySet) {
   Rng rng(4);
   const EmpiricalDistribution dist = RandomDistribution(rng, 20);
   const UtilityFunction u = UtilityFunction::SloStep(5.0, 500.0);
-  ValuationEngine engine(ValuationEngine::Config{true, false});
+  ValuationEngine engine(ValuationEngine::Config{/*crosscheck=*/false});
   engine.Tables(3, 1.0, dist, u, nullptr);
   engine.Tables(3, 0.75, dist, u, nullptr);
   engine.Tables(9, 1.0, dist, u, nullptr);
