@@ -106,6 +106,8 @@ BENCHMARK(BM_MilpWarmStart)->Arg(0)->Arg(1);
 //   ftran, btran   — sparse eta-file solves per replay
 //   refactor       — basis reinversions per replay
 //   dual/warmnode  — mean dual pivots per warm-started node
+//   greedy         — mean greedy rounding passes per replay
+//   greedy_inc     — mean greedy passes per replay that replaced the incumbent
 void BM_BnbNodeStreamBasis(benchmark::State& state) {
   const bool warm = state.range(0) != 0 && SolverWarmstartEnv();
   Rng rng(515);
@@ -116,6 +118,7 @@ void BM_BnbNodeStreamBasis(benchmark::State& state) {
   options.max_nodes = 200;
   int64_t pivots = 0, ftran = 0, btran = 0, refactor = 0;
   int64_t dual = 0, warm_nodes = 0, replays = 0;
+  int64_t greedy_rounds = 0, greedy_incumbents = 0;
   for (auto _ : state) {
     MilpSolver solver(model, int_vars);
     const MilpSolution sol = solver.Solve(options);
@@ -125,6 +128,8 @@ void BM_BnbNodeStreamBasis(benchmark::State& state) {
     refactor += sol.refactorizations;
     dual += sol.lp_dual_iterations;
     warm_nodes += sol.warm_started_nodes;
+    greedy_rounds += sol.greedy_rounds;
+    greedy_incumbents += sol.greedy_incumbents;
     ++replays;
     benchmark::DoNotOptimize(sol.objective);
   }
@@ -137,9 +142,40 @@ void BM_BnbNodeStreamBasis(benchmark::State& state) {
   state.counters["refactor"] = static_cast<double>(refactor) / n;
   state.counters["dual/warmnode"] =
       warm_nodes > 0 ? static_cast<double>(dual) / static_cast<double>(warm_nodes) : 0.0;
+  state.counters["greedy"] = static_cast<double>(greedy_rounds) / n;
+  state.counters["greedy_inc"] = static_cast<double>(greedy_incumbents) / n;
   state.SetLabel(warm ? "warm-basis" : "cold-basis");
 }
 BENCHMARK(BM_BnbNodeStreamBasis)->Arg(0)->Arg(1);
+
+// Node throughput at the shape of a fig06 cycle's MILP: 48 jobs x 24 options
+// over 24 capacity rows (~1,150 binaries x 72 rows) at the scheduler's default
+// budget of 6 nodes. At this size per-node work that scales with the variable
+// count (greedy rounding, branching-variable scans) shows next to the LPs.
+//   nodes/s  — branch-and-bound nodes per second
+//   greedy   — greedy rounding passes per solve
+void BM_BnbNodeThroughputFig06(benchmark::State& state) {
+  Rng rng(42);
+  std::vector<int> int_vars;
+  const LpModel model = SchedulerShapedModel(48, 24, 24, rng, &int_vars);
+  MilpOptions options;
+  options.max_nodes = 6;
+  int64_t nodes = 0, greedy_rounds = 0, replays = 0;
+  for (auto _ : state) {
+    MilpSolver solver(model, int_vars);
+    const MilpSolution sol = solver.Solve(options);
+    nodes += sol.nodes_explored;
+    greedy_rounds += sol.greedy_rounds;
+    ++replays;
+    benchmark::DoNotOptimize(sol.objective);
+  }
+  state.counters["nodes/s"] =
+      benchmark::Counter(static_cast<double>(nodes), benchmark::Counter::kIsRate);
+  state.counters["greedy"] = static_cast<double>(greedy_rounds) / static_cast<double>(replays);
+  state.counters["vars"] = model.num_variables();
+  state.counters["rows"] = model.num_rows();
+}
+BENCHMARK(BM_BnbNodeThroughputFig06);
 
 // The decomposable regime of the per-cycle MILP: `components` independent
 // scheduler-shaped blocks (jobs whose eligible groups partition into disjoint

@@ -52,15 +52,34 @@ MilpSolver::MilpSolver(const LpModel& model, std::vector<int> integer_vars)
     TS_CHECK_GE(v, 0);
     TS_CHECK_LT(v, model_.num_variables());
   }
-}
-
-bool MilpSolver::GreedyRound(const std::vector<double>& relaxed, std::vector<double>* out) const {
-  // Greedy only supports the scheduler's row shapes (all <=); bail otherwise
-  // and let branch-and-bound find incumbents on its own.
+  // Counting sort of the row-wise terms into columns; scanning rows in order
+  // leaves each column's entries in ascending row order.
+  col_start_.assign(static_cast<size_t>(model_.num_variables()) + 1, 0);
   for (const LpRow& row : model_.rows()) {
     if (row.sense != RowSense::kLessEqual) {
-      return false;
+      all_rows_le_ = false;
     }
+    for (const LpTerm& t : row.terms) {
+      ++col_start_[static_cast<size_t>(t.var) + 1];
+    }
+  }
+  for (size_t v = 1; v < col_start_.size(); ++v) {
+    col_start_[v] += col_start_[v - 1];
+  }
+  col_entries_.resize(static_cast<size_t>(col_start_.back()));
+  std::vector<int> fill(col_start_.begin(), col_start_.end() - 1);
+  for (int r = 0; r < model_.num_rows(); ++r) {
+    for (const LpTerm& t : model_.row(r).terms) {
+      col_entries_[static_cast<size_t>(fill[static_cast<size_t>(t.var)]++)] = LpTerm{r, t.coeff};
+    }
+  }
+}
+
+bool MilpSolver::GreedyRound(const std::vector<double>& relaxed, std::vector<double>* out) {
+  // Greedy only supports the scheduler's row shapes (all <=); bail otherwise
+  // and let branch-and-bound find incumbents on its own.
+  if (!all_rows_le_) {
+    return false;
   }
   std::vector<double> x = relaxed;
   // Pull every integer variable down to its floor first (feasible for pure
@@ -70,35 +89,49 @@ bool MilpSolver::GreedyRound(const std::vector<double>& relaxed, std::vector<dou
     x[v] = std::floor(relaxed[v] + 1e-9);
   }
   // Row activities for the floored point.
-  std::vector<double> activity(model_.num_rows(), 0.0);
-  std::vector<std::vector<LpTerm>> columns(model_.num_variables());
+  std::vector<double>& activity = greedy_activity_;
+  activity.assign(static_cast<size_t>(model_.num_rows()), 0.0);
   for (int r = 0; r < model_.num_rows(); ++r) {
-    const LpRow& row = model_.row(r);
-    for (const LpTerm& t : row.terms) {
-      activity[r] += t.coeff * x[t.var];
-      columns[t.var].push_back(LpTerm{r, t.coeff});
+    for (const LpTerm& t : model_.row(r).terms) {
+      activity[static_cast<size_t>(r)] += t.coeff * x[t.var];
     }
   }
-  // Try raising integer variables toward their relaxed value, most-fractional
-  // and highest-objective first.
-  std::vector<int> order = integer_vars_;
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const double fa = relaxed[a] - std::floor(relaxed[a] + 1e-9);
-    const double fb = relaxed[b] - std::floor(relaxed[b] + 1e-9);
-    if (fa != fb) {
-      return fa > fb;
-    }
-    return model_.objective(a) > model_.objective(b);
-  });
-  for (int v : order) {
+  // Only a variable that can move up and has a non-negative objective is ever
+  // raised; sort just those, most-fractional and highest-objective first,
+  // lowest index breaking exact ties.
+  std::vector<GreedyCandidate>& candidates = greedy_candidates_;
+  candidates.clear();
+  for (int v : integer_vars_) {
     const double target = std::min(std::ceil(relaxed[v] - 1e-9), model_.upper(v));
+    if (target - x[v] > 0.0 && model_.objective(v) >= 0.0) {
+      candidates.push_back(
+          GreedyCandidate{relaxed[v] - std::floor(relaxed[v] + 1e-9), model_.objective(v), v});
+    }
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [](const GreedyCandidate& a, const GreedyCandidate& b) {
+              if (a.frac != b.frac) {
+                return a.frac > b.frac;
+              }
+              if (a.objective != b.objective) {
+                return a.objective > b.objective;
+              }
+              return a.var < b.var;
+            });
+  for (const GreedyCandidate& c : candidates) {
+    const int v = c.var;
+    const double target = std::min(std::ceil(relaxed[v] - 1e-9), model_.upper(v));
+    // Re-read: a variable listed twice in integer_vars_ is raised only once.
     const double delta = target - x[v];
-    if (delta <= 0.0 || model_.objective(v) < 0.0) {
+    if (delta <= 0.0) {
       continue;
     }
+    const LpTerm* const begin = col_entries_.data() + col_start_[static_cast<size_t>(v)];
+    const LpTerm* const end = col_entries_.data() + col_start_[static_cast<size_t>(v) + 1];
     bool fits = true;
-    for (const LpTerm& t : columns[v]) {
-      if (activity[t.var] + t.coeff * delta > model_.row(t.var).rhs + 1e-9) {
+    for (const LpTerm* t = begin; t != end; ++t) {
+      if (activity[static_cast<size_t>(t->var)] + t->coeff * delta >
+          model_.row(t->var).rhs + 1e-9) {
         fits = false;
         break;
       }
@@ -107,8 +140,8 @@ bool MilpSolver::GreedyRound(const std::vector<double>& relaxed, std::vector<dou
       continue;
     }
     x[v] = target;
-    for (const LpTerm& t : columns[v]) {
-      activity[t.var] += t.coeff * delta;
+    for (const LpTerm* t = begin; t != end; ++t) {
+      activity[static_cast<size_t>(t->var)] += t->coeff * delta;
     }
   }
   if (!model_.IsFeasible(x)) {
@@ -308,9 +341,14 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
 
       // Use a rounding pass for an early incumbent before descending.
       std::vector<double> rounded;
+      ++result.greedy_rounds;
       if (GreedyRound(relax.values, &rounded)) {
         const double obj = model_.ObjectiveValue(rounded);
+        const size_t improvements = result.incumbent_improvements.size();
         consider_incumbent(obj, node.id + "r", std::move(rounded), /*from_tree=*/true);
+        if (result.incumbent_improvements.size() > improvements) {
+          ++result.greedy_incumbents;
+        }
       }
 
       // Branch: explore the nearest integer side first (pushed last). Both
@@ -348,6 +386,8 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
       obs::Counter* nodes;
       obs::Counter* warm_started_nodes;
       obs::Counter* incumbent_improvements;
+      obs::Counter* greedy_rounds;
+      obs::Counter* greedy_incumbents;
       obs::Histogram* nodes_hist;
     };
     static const MilpCounters* const counters = [] {
@@ -357,6 +397,8 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
       c->nodes = reg.GetCounter("solver.milp_nodes");
       c->warm_started_nodes = reg.GetCounter("solver.milp_warm_started_nodes");
       c->incumbent_improvements = reg.GetCounter("solver.milp_incumbent_improvements");
+      c->greedy_rounds = reg.GetCounter("solver.greedy_rounds");
+      c->greedy_incumbents = reg.GetCounter("solver.greedy_incumbents");
       c->nodes_hist = reg.GetHistogram("solver.milp_nodes_per_solve",
                                        {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
       return c;
@@ -366,6 +408,8 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
     counters->warm_started_nodes->Add(result.warm_started_nodes);
     counters->incumbent_improvements->Add(
         static_cast<int64_t>(result.incumbent_improvements.size()));
+    counters->greedy_rounds->Add(result.greedy_rounds);
+    counters->greedy_incumbents->Add(result.greedy_incumbents);
     counters->nodes_hist->Observe(static_cast<double>(result.nodes_explored));
   }
   if (!have_incumbent) {

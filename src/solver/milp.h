@@ -11,6 +11,14 @@
 //   - a greedy rounding pass on each LP relaxation supplies incumbents early
 //     so pruning is effective.
 //
+// Greedy rounding (every fractional node, models whose rows are all <=):
+// floor every integer variable, then raise toward its LP value each variable
+// that can move up and has a non-negative objective, in the total order
+// (fractional part desc, objective desc, variable index asc), skipping any
+// raise that would break a row. The column index it walks is built once per
+// solver, so a call costs O(nnz + k log k) for k raisable variables and
+// allocates nothing per variable.
+//
 // Node selection: the tree is explored depth-first in batches. Each batch
 // pops up to 16 nodes off the subproblem stack and drops those whose parent
 // LP bound cannot beat the incumbent as of the batch start; the rest are
@@ -61,6 +69,10 @@ struct MilpSolution {
   int refactorizations = 0;
   // Nodes whose LP accepted a parent basis (install survived repair).
   int warm_started_nodes = 0;
+  // Greedy rounding passes run (one per fractional node) and how many of
+  // them replaced the incumbent.
+  int greedy_rounds = 0;
+  int greedy_incumbents = 0;
   // Optimal basis of the root relaxation; feed it back as
   // MilpOptions::root_basis on the next, similar model (cross-cycle reuse).
   LpBasis root_basis;
@@ -109,18 +121,37 @@ struct MilpOptions {
 class MilpSolver {
  public:
   // `integer_vars` lists the variables constrained to integral values; for
-  // the scheduler these are all the [0,1] indicator variables.
+  // the scheduler these are all the [0,1] indicator variables. The solver
+  // indexes `model`'s rows here, so the model must outlive it and keep its
+  // rows unchanged.
   MilpSolver(const LpModel& model, std::vector<int> integer_vars);
 
   MilpSolution Solve(const MilpOptions& options = {});
 
  private:
+  // A variable the greedy pass may raise, with its precomputed sort key.
+  struct GreedyCandidate {
+    double frac;
+    double objective;
+    int var;
+  };
+
   // Rounds an LP-relaxation point to a feasible integral point greedily;
   // returns true on success.
-  bool GreedyRound(const std::vector<double>& relaxed, std::vector<double>* out) const;
+  bool GreedyRound(const std::vector<double>& relaxed, std::vector<double>* out);
 
   const LpModel& model_;
   std::vector<int> integer_vars_;
+  // The constraint matrix by column: column v is
+  // col_entries_[col_start_[v], col_start_[v + 1]), rows ascending, each
+  // entry's `var` holding the row index.
+  std::vector<int> col_start_;
+  std::vector<LpTerm> col_entries_;
+  // Greedy rounding handles only models whose rows are all <=.
+  bool all_rows_le_ = true;
+  // GreedyRound's scratch, reused across calls.
+  std::vector<double> greedy_activity_;
+  std::vector<GreedyCandidate> greedy_candidates_;
 };
 
 }  // namespace threesigma

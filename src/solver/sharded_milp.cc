@@ -270,6 +270,8 @@ ShardedMilpSolution SolveShardedMilp(const LpModel& model,
     merged.btran_count += r.btran_count;
     merged.refactorizations += r.refactorizations;
     merged.warm_started_nodes += r.warm_started_nodes;
+    merged.greedy_rounds += r.greedy_rounds;
+    merged.greedy_incumbents += r.greedy_incumbents;
     merged.max_queue_depth = std::max(merged.max_queue_depth, r.max_queue_depth);
     for (const IncumbentImprovement& imp : r.incumbent_improvements) {
       merged.incumbent_improvements.push_back(imp);

@@ -5,12 +5,17 @@
 // by exhaustive 2^n enumeration and by MilpSolver, which must agree on
 // feasibility status and optimal objective to 1e-6. A digest over budgeted
 // solves pins the node order, and basis warm-starting must never change an
-// answer.
+// answer. A test-local oracle pins the greedy rounding rule on
+// scheduler-shaped programs, and its tie-break must not depend on the order
+// of the integer variable list.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <ios>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +23,7 @@
 #include "src/common/rng.h"
 #include "src/solver/lp_model.h"
 #include "src/solver/milp.h"
+#include "src/solver/simplex.h"
 
 namespace threesigma {
 namespace {
@@ -229,6 +235,259 @@ TEST(MilpDifferentialTest, BasisWarmstartNeverChangesTheAnswer) {
   }
   // The sweep must actually exercise basis reuse, not just trivially agree.
   EXPECT_GT(warm_nodes_total, 0);
+}
+
+
+// A scheduler-shaped 0/1 program: each job's placement options share an
+// at-most-one demand row, options consume shared <= capacity rows, and
+// (with `preemption`) preemption-style variables carry a negative objective
+// and credit capacity back through negative coefficients. With `ties`,
+// objectives are 1 or 2 and every capacity row is 2 * (sum of its options)
+// <= an odd rhs, so half-integral LP points with equal objectives are common.
+LpModel SchedulerShapedProgram(Rng& rng, bool preemption, bool ties, std::vector<int>* int_vars) {
+  const int jobs = static_cast<int>(rng.UniformInt(2, 10));
+  const int options_per_job = static_cast<int>(rng.UniformInt(1, 5));
+  const int capacity_rows = static_cast<int>(rng.UniformInt(1, 6));
+  LpModel model;
+  std::vector<std::vector<LpTerm>> capacity(static_cast<size_t>(capacity_rows));
+  std::vector<std::vector<LpTerm>> demand(static_cast<size_t>(jobs));
+  for (int j = 0; j < jobs; ++j) {
+    for (int o = 0; o < options_per_job; ++o) {
+      const double objective =
+          ties ? static_cast<double>(rng.UniformInt(1, 2)) : rng.Uniform(0.1, 10.0);
+      const int var = model.AddVariable(0.0, 1.0, objective);
+      int_vars->push_back(var);
+      demand[static_cast<size_t>(j)].push_back({var, 1.0});
+      for (int c = 0; c < capacity_rows; ++c) {
+        if (rng.Bernoulli(0.5)) {
+          const double coeff = ties ? 2.0 : rng.Uniform(0.5, 4.0);
+          capacity[static_cast<size_t>(c)].push_back({var, coeff});
+        }
+      }
+    }
+  }
+  const int preemptible = preemption ? static_cast<int>(rng.UniformInt(1, 4)) : 0;
+  for (int p = 0; p < preemptible; ++p) {
+    const int var = model.AddVariable(0.0, 1.0, -rng.Uniform(0.5, 5.0));
+    int_vars->push_back(var);
+    const int c = static_cast<int>(rng.UniformInt(0, capacity_rows - 1));
+    capacity[static_cast<size_t>(c)].push_back({var, -rng.Uniform(1.0, 4.0)});
+  }
+  for (std::vector<LpTerm>& terms : demand) {
+    model.AddRow(RowSense::kLessEqual, 1.0, std::move(terms));
+  }
+  for (std::vector<LpTerm>& terms : capacity) {
+    if (terms.empty()) {
+      continue;
+    }
+    const double rhs =
+        ties ? static_cast<double>(2 * rng.UniformInt(0, 2) + 1) : rng.Uniform(1.0, 8.0);
+    model.AddRow(RowSense::kLessEqual, rhs, std::move(terms));
+  }
+  return model;
+}
+
+double Frac(double x) { return x - std::floor(x + 1e-9); }
+
+// The greedy rounding rule, written plainly: floor every integer variable,
+// then walk all of them in (fractional part desc, objective desc, index asc)
+// order and raise each one that can move up, has a non-negative objective,
+// and keeps every row satisfied. Empty when a row is not <= or the result is
+// infeasible.
+std::optional<std::vector<double>> GreedyOracle(const LpModel& model,
+                                                const std::vector<int>& int_vars,
+                                                const std::vector<double>& relaxed) {
+  for (const LpRow& row : model.rows()) {
+    if (row.sense != RowSense::kLessEqual) {
+      return std::nullopt;
+    }
+  }
+  std::vector<double> x = relaxed;
+  for (int v : int_vars) {
+    x[v] = std::floor(relaxed[v] + 1e-9);
+  }
+  std::vector<double> activity(static_cast<size_t>(model.num_rows()), 0.0);
+  for (int r = 0; r < model.num_rows(); ++r) {
+    for (const LpTerm& t : model.row(r).terms) {
+      activity[static_cast<size_t>(r)] += t.coeff * x[t.var];
+    }
+  }
+  std::vector<int> order = int_vars;
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    if (Frac(relaxed[a]) != Frac(relaxed[b])) {
+      return Frac(relaxed[a]) > Frac(relaxed[b]);
+    }
+    if (model.objective(a) != model.objective(b)) {
+      return model.objective(a) > model.objective(b);
+    }
+    return a < b;
+  });
+  for (int v : order) {
+    const double target = std::min(std::ceil(relaxed[v] - 1e-9), model.upper(v));
+    const double delta = target - x[v];
+    if (delta <= 0.0 || model.objective(v) < 0.0) {
+      continue;
+    }
+    bool fits = true;
+    for (int r = 0; r < model.num_rows(); ++r) {
+      for (const LpTerm& t : model.row(r).terms) {
+        if (t.var == v && activity[static_cast<size_t>(r)] + t.coeff * delta >
+                              model.row(r).rhs + 1e-9) {
+          fits = false;
+        }
+      }
+    }
+    if (!fits) {
+      continue;
+    }
+    x[v] = target;
+    for (int r = 0; r < model.num_rows(); ++r) {
+      for (const LpTerm& t : model.row(r).terms) {
+        if (t.var == v) {
+          activity[static_cast<size_t>(r)] += t.coeff * delta;
+        }
+      }
+    }
+  }
+  if (!model.IsFeasible(x)) {
+    return std::nullopt;
+  }
+  return x;
+}
+
+bool AllIntegral(const std::vector<double>& x, const std::vector<int>& int_vars) {
+  for (int v : int_vars) {
+    if (std::fabs(x[v] - std::round(x[v])) > 1e-6) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// At max_nodes = 1 the solver explores only the root: a fractional root LP
+// gets one greedy pass, whose point is the only possible incumbent. It must
+// equal the oracle's bit for bit.
+TEST(MilpDifferentialTest, GreedyRoundingMatchesOracle) {
+  constexpr int kPrograms = 200;
+  int rounded = 0;
+  int preempt_programs = 0;
+  for (int p = 0; p < kPrograms; ++p) {
+    Rng rng(20000 + static_cast<uint64_t>(p));
+    std::vector<int> int_vars;
+    const bool preemption = p % 2 == 1;
+    const LpModel model = SchedulerShapedProgram(rng, preemption, p % 4 == 0, &int_vars);
+    const LpSolution root = SolveLp(model);
+    ASSERT_EQ(root.status, LpStatus::kOptimal) << "program " << p;
+
+    MilpOptions options;
+    options.max_nodes = 1;
+    MilpSolver solver(model, int_vars);
+    const MilpSolution s = solver.Solve(options);
+    ASSERT_EQ(s.nodes_explored, 1) << "program " << p;
+    if (AllIntegral(root.values, int_vars)) {
+      EXPECT_EQ(s.greedy_rounds, 0) << "program " << p;
+      continue;
+    }
+    EXPECT_EQ(s.greedy_rounds, 1) << "program " << p;
+    const std::optional<std::vector<double>> oracle = GreedyOracle(model, int_vars, root.values);
+    if (!oracle.has_value()) {
+      EXPECT_EQ(s.status, MilpStatus::kInfeasible) << "program " << p;
+      EXPECT_EQ(s.greedy_incumbents, 0) << "program " << p;
+      continue;
+    }
+    ++rounded;
+    preempt_programs += preemption ? 1 : 0;
+    EXPECT_EQ(s.greedy_incumbents, 1) << "program " << p;
+    ASSERT_EQ(s.status, MilpStatus::kFeasible) << "program " << p;
+    ASSERT_EQ(s.values.size(), oracle->size()) << "program " << p;
+    for (size_t i = 0; i < oracle->size(); ++i) {
+      EXPECT_EQ(DoubleBits(s.values[i]), DoubleBits((*oracle)[i]))
+          << "program " << p << " var " << i;
+    }
+    EXPECT_EQ(DoubleBits(s.objective), DoubleBits(model.ObjectiveValue(*oracle)))
+        << "program " << p;
+    for (int v : int_vars) {
+      if (model.objective(v) < 0.0) {
+        EXPECT_EQ(s.values[v], std::floor(root.values[v] + 1e-9))
+            << "negative-objective variable raised, program " << p << " var " << v;
+      }
+    }
+  }
+  // Most programs must actually reach the greedy pass with both shapes.
+  EXPECT_GT(rounded, kPrograms / 2);
+  EXPECT_GT(preempt_programs, kPrograms / 8);
+}
+
+// Tie-heavy programs: many candidates share a fractional part and an
+// objective, so the variable-index tie-break decides the raise order.
+// Shuffling the integer variable list must not change the greedy point.
+TEST(MilpDifferentialTest, GreedyTieBreakIgnoresIntegerVarOrder) {
+  constexpr int kPrograms = 100;
+  int tied_programs = 0;
+  for (int p = 0; p < kPrograms; ++p) {
+    Rng rng(30000 + static_cast<uint64_t>(p));
+    std::vector<int> int_vars;
+    const LpModel model = SchedulerShapedProgram(rng, p % 2 == 1, /*ties=*/true, &int_vars);
+    const LpSolution root = SolveLp(model);
+    ASSERT_EQ(root.status, LpStatus::kOptimal) << "program " << p;
+    // Count equal (fraction, objective) keys among the raisable variables.
+    std::vector<std::pair<double, double>> keys;
+    for (int v : int_vars) {
+      if (Frac(root.values[v]) > 1e-9 && model.objective(v) >= 0.0) {
+        keys.emplace_back(Frac(root.values[v]), model.objective(v));
+      }
+    }
+    std::sort(keys.begin(), keys.end());
+    if (std::adjacent_find(keys.begin(), keys.end()) != keys.end()) {
+      ++tied_programs;
+    }
+
+    MilpOptions options;
+    options.max_nodes = 1;
+    MilpSolver solver(model, int_vars);
+    const MilpSolution reference = solver.Solve(options);
+    Rng shuffle_rng(static_cast<uint64_t>(p));
+    for (int trial = 0; trial < 3; ++trial) {
+      std::vector<int> permuted = int_vars;
+      std::shuffle(permuted.begin(), permuted.end(), shuffle_rng.engine());
+      MilpSolver permuted_solver(model, permuted);
+      const MilpSolution s = permuted_solver.Solve(options);
+      ASSERT_EQ(s.status, reference.status) << "program " << p << " trial " << trial;
+      EXPECT_EQ(s.values, reference.values) << "program " << p << " trial " << trial;
+    }
+  }
+  EXPECT_GT(tied_programs, kPrograms / 4);
+}
+
+// A >= row puts the model outside the greedy pass's row shapes: the pass runs
+// on the fractional root but bails out without an incumbent.
+TEST(MilpDifferentialTest, GreedyRoundingBailsOnGreaterEqualRow) {
+  LpModel model;
+  std::vector<int> int_vars;
+  for (int i = 0; i < 3; ++i) {
+    int_vars.push_back(model.AddVariable(0.0, 1.0, 1.0 + i));
+  }
+  model.AddRow(RowSense::kLessEqual, 1.5, {{0, 1.0}, {1, 1.0}, {2, 1.0}});
+  model.AddRow(RowSense::kGreaterEqual, 0.5, {{0, 1.0}, {1, 1.0}});
+  const LpSolution root = SolveLp(model);
+  ASSERT_EQ(root.status, LpStatus::kOptimal);
+  ASSERT_FALSE(AllIntegral(root.values, int_vars));
+  EXPECT_FALSE(GreedyOracle(model, int_vars, root.values).has_value());
+
+  MilpOptions options;
+  options.max_nodes = 1;
+  MilpSolver solver(model, int_vars);
+  const MilpSolution s = solver.Solve(options);
+  EXPECT_EQ(s.greedy_rounds, 1);
+  EXPECT_EQ(s.greedy_incumbents, 0);
+  EXPECT_EQ(s.status, MilpStatus::kInfeasible);  // No incumbent within budget.
+
+  // Unbudgeted, the tree alone finds the optimum: exactly one of x0/x1 is 1
+  // and nothing else fits, so x1 = 1.
+  const MilpSolution full = solver.Solve();
+  ASSERT_EQ(full.status, MilpStatus::kOptimal);
+  EXPECT_EQ(full.greedy_incumbents, 0);
+  EXPECT_DOUBLE_EQ(full.objective, 2.0);
 }
 
 }  // namespace

@@ -97,34 +97,29 @@ TEST(SchedPropertyTest, ThreadCountNeverChangesTheSchedule) {
   config.sched.solver_threads = 4;
   const SimResult parallel = SimulateSystem(SystemKind::kThreeSigma, config, workload);
 
+  // The trace carries the full per-cycle counter stream, valuation
+  // hits/misses/kernel calls included: the serial prepare pass and the
+  // kernel-call set do not depend on the fan-out width.
   EXPECT_GT(serial.jobs.size(), 0u);
   EXPECT_EQ(DecisionTrace(serial), DecisionTrace(parallel));
+  const RunMetrics m = ComputeMetrics(serial, "3Sigma");
+  EXPECT_GT(m.valuation_kernel_calls, 0);
+  EXPECT_GT(m.valuation_cache_hits, 0) << "table cache never hit";
 }
 
 TEST(SchedPropertyTest, BasisWarmstartPreservesThreadCountDeterminism) {
-  // Basis warm-starting (parent bases to B&B children, previous cycle's root
-  // basis across cycles) lives in the serial solver, so warm-started runs
-  // must stay byte-identical at any thread count too.
+  // The default (warm bases on) is covered above; with basis warm-starting
+  // off the same workload completes and the schedule is again thread-count
+  // invariant.
   ExperimentConfig config = PropertyConfig();
   const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
   ASSERT_TRUE(config.sched.solver_basis_warmstart);  // Default-on.
-
-  config.sched.solver_threads = 1;
-  const SimResult serial = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-  config.sched.solver_threads = 4;
-  const SimResult parallel = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-
-  EXPECT_GT(serial.jobs.size(), 0u);
-  EXPECT_EQ(DecisionTrace(serial), DecisionTrace(parallel));
-
-  // And warm-start-off is a sane fallback: same workload completes, and the
-  // schedule is again thread-count invariant.
   config.sched.solver_basis_warmstart = false;
   config.sched.solver_threads = 1;
   const SimResult cold_serial = SimulateSystem(SystemKind::kThreeSigma, config, workload);
   config.sched.solver_threads = 4;
   const SimResult cold_parallel = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-  EXPECT_EQ(cold_serial.jobs.size(), serial.jobs.size());
+  EXPECT_GT(cold_serial.jobs.size(), 0u);
   EXPECT_EQ(DecisionTrace(cold_serial), DecisionTrace(cold_parallel));
 }
 
@@ -260,25 +255,8 @@ TEST(SchedPropertyTest, CapacityCacheCrosscheckCleanOverFullRun) {
 }
 
 // ---------------------------------------------------------------------------
-// Valuation engine: the cross-cycle table cache and the parallel fan-out
-// never move a decision or a counter.
-
-TEST(SchedPropertyTest, ValuationFanOutIsThreadCountInvariant) {
-  // The full per-cycle counter stream, valuation hits/misses/kernel calls
-  // included, is thread-count invariant: the serial prepare pass and the
-  // kernel-call set do not depend on the fan-out width.
-  ExperimentConfig config = PropertyConfig();
-  const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
-  config.sched.solver_threads = 1;
-  const SimResult serial = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-  config.sched.solver_threads = 4;
-  const SimResult parallel = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-  EXPECT_GT(serial.jobs.size(), 0u);
-  EXPECT_EQ(DecisionTrace(serial), DecisionTrace(parallel));
-  const RunMetrics m = ComputeMetrics(serial, "3Sigma");
-  EXPECT_GT(m.valuation_kernel_calls, 0);
-  EXPECT_GT(m.valuation_cache_hits, 0) << "table cache never hit";
-}
+// Valuation engine: the cross-cycle table cache never moves a decision or a
+// counter.
 
 TEST(SchedPropertyTest, ValuationCrosscheckCleanOverFullRun) {
   // Crosscheck mode re-derives every kernel and survival answer with the
