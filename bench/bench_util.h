@@ -6,17 +6,13 @@
 //       "full" approximates the paper's 5-hour windows)
 //   THREESIGMA_SEED=<n>
 //   THREESIGMA_SOLVER_THREADS=<n>   (scheduler worker pool size for the
-//       valuation and shard fan-outs in all e2e benches; decisions are
-//       identical at any value)
+//       valuation fan-out and the what-if sweep in all e2e benches;
+//       decisions are identical at any value)
 //   THREESIGMA_SOLVER_WARMSTART=0|1 (simplex basis warm-starting across
 //       branch-and-bound nodes and scheduling cycles; default 1. For A/B
 //       pivot-count comparisons. Each setting is deterministic, but warm and
 //       cold runs may return different equally-scored schedules: a warm LP
 //       can surface a different optimal vertex of a degenerate relaxation.)
-//   THREESIGMA_SOLVER_SHARDS=0|1    (connected-component decomposition of the
-//       per-cycle MILP into independently solved sub-MILPs; default 0. Exact
-//       and byte-identical at any shard/thread count when the node budget
-//       does not bind — see DESIGN.md for the budget caveat.)
 //   THREESIGMA_VALUATION_CROSSCHECK=0|1  (re-derive every kernel answer with
 //       the generic loop, abort on bitwise divergence; default 0)
 //   THREESIGMA_FAULT_MTTF=<s>            (node mean time to failure; 0 = off)
@@ -95,12 +91,6 @@ inline bool SolverWarmstartEnv() {
   return GetEnvInt("THREESIGMA_SOLVER_WARMSTART", 1) != 0;
 }
 
-// THREESIGMA_SOLVER_SHARDS: connected-component decomposition (default off,
-// matching the production default).
-inline bool SolverShardsEnv() {
-  return GetEnvInt("THREESIGMA_SOLVER_SHARDS", 0) != 0;
-}
-
 // Baseline experiment configuration; `base_hours` is the workload length at
 // default scale (the paper's counterpart is usually 2 or 5 hours).
 inline ExperimentConfig MakeE2EConfig(double base_hours, double load = 1.4) {
@@ -117,7 +107,6 @@ inline ExperimentConfig MakeE2EConfig(double base_hours, double load = 1.4) {
   config.sched.solver_threads =
       static_cast<int>(GetEnvInt("THREESIGMA_SOLVER_THREADS", 1));
   config.sched.solver_basis_warmstart = SolverWarmstartEnv();
-  config.sched.solver_shards = SolverShardsEnv();
   config.sched.valuation_crosscheck = GetEnvInt("THREESIGMA_VALUATION_CROSSCHECK", 0) != 0;
   ApplyFaultEnv(&config.sim.faults);
   ApplyObsEnv(&config.obs);

@@ -101,7 +101,6 @@ int main() {
     const RunMetrics warm = RunSystem(SystemKind::kThreeSigma, config, workload);
     config.sched.solver_basis_warmstart = false;
     const RunMetrics cold = RunSystem(SystemKind::kThreeSigma, config, workload);
-    config.sched.solver_basis_warmstart = true;
     const auto add_row = [&basis](const std::string& name, const RunMetrics& m) {
       basis.AddRow({name, TablePrinter::Fmt(m.mean_solver_seconds, 3),
                     TablePrinter::Fmt(m.solver_nodes_per_second, 0),
@@ -111,38 +110,6 @@ int main() {
     add_row("warm basis", warm);
     add_row("cold basis", cold);
     basis.Print(std::cout);
-
-    // (d) Shard decomposition sweep (--solver-shards): the same workload with
-    // the per-cycle MILP split into connected components. The SCALABILITY
-    // cluster is uniform, so every job is eligible on every group and cycles
-    // stay one component (mean shards ~ 1, node ratio ~ 1x) — the honest
-    // number for this workload. The decomposable regime (disjoint eligible
-    // group sets, >= 4 components) is measured by micro_solver's
-    // BM_MilpShardDecomposition, where node counts drop superlinearly; see
-    // EXPERIMENTS.md.
-    std::cout << "\n(d) Shard decomposition sweep (node budget unchanged; work metric is "
-                 "total B&B nodes):\n";
-    TablePrinter shards({"config", "mean solver (s)", "total B&B nodes", "node ratio",
-                         "mean shards", "max shard vars"});
-    shards.AddRow({"shards off", TablePrinter::Fmt(warm.mean_solver_seconds, 3),
-                   std::to_string(warm.total_milp_nodes), "1.00", "-", "-"});
-    config.sched.solver_shards = true;
-    for (const int threads : {1, 4}) {
-      config.sched.solver_threads = threads;
-      const RunMetrics m = RunSystem(SystemKind::kThreeSigma, config, workload);
-      const double ratio = m.total_milp_nodes > 0
-                               ? static_cast<double>(warm.total_milp_nodes) /
-                                     static_cast<double>(m.total_milp_nodes)
-                               : 0.0;
-      shards.AddRow({"shards on, " + std::to_string(threads) + " thread" +
-                         (threads == 1 ? "" : "s"),
-                     TablePrinter::Fmt(m.mean_solver_seconds, 3),
-                     std::to_string(m.total_milp_nodes), TablePrinter::Fmt(ratio, 2),
-                     TablePrinter::Fmt(m.mean_milp_shards, 2),
-                     std::to_string(m.max_milp_shard_vars)});
-    }
-    shards.Print(std::cout);
-    config.sched.solver_shards = false;
   }
 
   // §6.5: 3σPredict latency at job submission. Build a loaded predictor and

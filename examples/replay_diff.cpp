@@ -119,8 +119,8 @@ int main(int argc, char** argv) {
   parser.AddString("a", &a_path, "snapshot file for replica A (required)")
       .AddString("b", &b_path, "snapshot file for replica B (default: same as --a)")
       .AddString("system", &system_name, "Table 1 system that wrote the snapshots")
-      .AddInt("solver-threads-a", &solver_threads_a, "MILP solver threads for replica A")
-      .AddInt("solver-threads-b", &solver_threads_b, "MILP solver threads for replica B")
+      .AddInt("solver-threads-a", &solver_threads_a, "scheduler worker threads for replica A")
+      .AddInt("solver-threads-b", &solver_threads_b, "scheduler worker threads for replica B")
       .AddInt("stride", &stride, "coarse scan interval in cycles before bisecting")
       .AddInt("max-cycles", &max_cycles, "stop scanning after this many cycles (0 = drain)")
       .AddBool("perturb-rng-b", &perturb_rng_b,

@@ -1,17 +1,18 @@
 // Fixed-size worker pool for data-parallel loops.
 //
-// Shared by the scheduler's per-cycle fan-outs (valuation, MILP shards) and
-// the digital-twin scenario sweep: each cycle runs short ParallelFor
-// batches, so workers are persistent and a batch dispatch is one mutex
-// round-trip, not N thread spawns. The calling thread participates as worker 0, so a pool of size N
+// Shared by the scheduler's per-cycle valuation fan-out and the
+// digital-twin scenario sweep: each cycle runs short ParallelFor batches, so
+// workers are persistent and a batch dispatch is one mutex round-trip, not
+// N thread spawns. The calling thread participates as worker 0, so a pool of size N
 // uses N - 1 background threads and a pool of size 1 degenerates to a plain
 // loop with no locking at all.
 //
 // Indices are handed out through a shared atomic cursor — a lock-free work
-// queue — so uneven item costs (shard sizes vary wildly) balance across
-// workers automatically. Batch state is heap-shared so a straggling
-// worker that wakes after a batch drained only ever observes an exhausted
-// cursor; it can never touch the next batch's state by accident.
+// queue — so uneven item costs (one twin fork can run far longer than its
+// siblings) balance across workers automatically. Batch state is
+// heap-shared so a straggling worker that wakes after a batch drained only
+// ever observes an exhausted cursor; it can never touch the next batch's
+// state by accident.
 
 #ifndef SRC_COMMON_THREAD_POOL_H_
 #define SRC_COMMON_THREAD_POOL_H_

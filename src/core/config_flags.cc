@@ -11,17 +11,11 @@ void RegisterExperimentFlags(FlagParser& parser, ExperimentFlags* flags) {
       .AddInt("nodes-per-group", &flags->nodes_per_group, "nodes per group")
       .AddDouble("cycle", &flags->cycle, "scheduling cycle period in seconds")
       .AddInt("solver-threads", &flags->solver_threads,
-              "scheduler worker pool size for the valuation and shard "
-              "fan-outs (branch-and-bound is serial; any count returns the "
-              "same decisions)")
-      .AddBool("solver-shards", &flags->solver_shards,
-               "decompose each cycle MILP into connected components and solve "
-               "them as independent sub-MILPs on the solver pool (exact; "
-               "byte-identical at any shard/thread count — see DESIGN.md for "
-               "the node-budget caveat)")
+              "scheduler worker pool size for the valuation fan-out and the "
+              "what-if scenario sweep (branch-and-bound is serial; any count "
+              "returns the same decisions)")
       .AddInt("solver-max-nodes", &flags->solver_max_nodes,
-              "branch-and-bound node budget per solve (0 = unbudgeted; with "
-              "--solver-shards every shard gets the full budget)")
+              "branch-and-bound node budget per solve (0 = unbudgeted)")
       .AddInt("max-pending", &flags->max_pending,
               "pending jobs admitted into one cycle MILP (SLO-deadline order "
               "first; the rest waits)")
@@ -105,7 +99,6 @@ bool BuildExperimentConfig(const ExperimentFlags& flags, ExperimentConfig* confi
   config->sim.max_cycles = flags.max_cycles;
   config->sched.cycle_period = flags.cycle;
   config->sched.solver_threads = static_cast<int>(flags.solver_threads);
-  config->sched.solver_shards = flags.solver_shards;
   config->sched.solver_max_nodes = static_cast<int>(flags.solver_max_nodes);
   config->sched.max_pending_considered = static_cast<int>(flags.max_pending);
   config->sched.num_start_slots = static_cast<int>(flags.start_slots);

@@ -64,7 +64,6 @@ RunMetrics ComputeMetrics(const SimResult& result, const std::string& system_nam
 
   double cycle_sum = 0.0;
   double solver_sum = 0.0;
-  int64_t sharded_solves = 0;
   for (const CycleStats& c : result.cycles) {
     cycle_sum += c.cycle_seconds;
     solver_sum += c.solver_seconds;
@@ -80,15 +79,6 @@ RunMetrics ComputeMetrics(const SimResult& result, const std::string& system_nam
     m.valuation_cache_hits += c.valuation_cache_hits;
     m.valuation_cache_misses += c.valuation_cache_misses;
     m.valuation_kernel_calls += c.valuation_kernel_calls;
-    m.total_milp_shards += c.milp_shards;
-    m.max_milp_shard_vars = std::max(m.max_milp_shard_vars, c.milp_max_shard_vars);
-    if (c.milp_shards > 0) {
-      ++sharded_solves;
-    }
-  }
-  if (sharded_solves > 0) {
-    m.mean_milp_shards =
-        static_cast<double>(m.total_milp_shards) / static_cast<double>(sharded_solves);
   }
   if (!result.cycles.empty()) {
     m.mean_cycle_seconds = cycle_sum / static_cast<double>(result.cycles.size());

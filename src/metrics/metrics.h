@@ -58,11 +58,6 @@ struct RunMetrics {
   double solver_nodes_per_second = 0.0;
   int max_milp_queue_depth = 0;
   int total_incumbent_improvements = 0;
-  // Shard decomposition: total shards across solved cycles, mean shards per
-  // sharded solve, and the largest sub-MILP seen (all zero with shards off).
-  int64_t total_milp_shards = 0;
-  double mean_milp_shards = 0.0;
-  int max_milp_shard_vars = 0;
   // Expected-capacity cache: fraction of running-job survival lookups served
   // without a recompute (0 when the cache recorded no traffic).
   int64_t capacity_cache_hits = 0;

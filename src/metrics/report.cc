@@ -48,8 +48,7 @@ void WriteRunMetricsCsv(std::ostream& os, const std::vector<RunMetrics>& runs) {
         "capacity_cache_hit_rate,tasks_killed_by_faults,fault_node_events,"
         "stalled_cycles,node_downtime_fraction,rework_machine_hours,rework_ratio,"
         "goodput_per_available_hour,valuation_cache_hits,valuation_cache_misses,"
-        "valuation_cache_hit_rate,valuation_kernel_calls,total_milp_shards,"
-        "mean_milp_shards,max_milp_shard_vars\n";
+        "valuation_cache_hit_rate,valuation_kernel_calls\n";
   for (const RunMetrics& m : runs) {
     os << m.system << "," << m.slo_jobs << "," << m.slo_censored << "," << m.be_jobs << ","
        << m.slo_missed << "," << m.slo_miss_rate_percent << "," << m.slo_completed << ","
@@ -68,9 +67,7 @@ void WriteRunMetricsCsv(std::ostream& os, const std::vector<RunMetrics>& runs) {
        << m.node_downtime_fraction << "," << m.rework_machine_hours << ","
        << m.rework_ratio << "," << m.goodput_per_available_hour << ","
        << m.valuation_cache_hits << "," << m.valuation_cache_misses << ","
-       << m.valuation_cache_hit_rate << "," << m.valuation_kernel_calls << ","
-       << m.total_milp_shards << "," << m.mean_milp_shards << ","
-       << m.max_milp_shard_vars << "\n";
+       << m.valuation_cache_hit_rate << "," << m.valuation_kernel_calls << "\n";
   }
 }
 

@@ -45,8 +45,6 @@ struct CyclePhaseRow {
   int64_t valuation_cache_hits = 0;
   int64_t valuation_cache_misses = 0;
   int64_t valuation_kernel_calls = 0;
-  // Shard count of this cycle's MILP solve (0 = shards off or no solve).
-  int64_t milp_shards = 0;
   // Wall time spent in digital-twin advisory sweeps between the previous
   // cycle and this one (zero when the twin is off).
   double twin_sweep_seconds = 0.0;
@@ -78,10 +76,9 @@ class CycleProfiler {
   // Digital-twin sweep wall time; folded into the next cycle's row like
   // inter-cycle phase time (driver thread only).
   void AddTwinSweep(double seconds);
-  // Stamps the open row's valuation and shard counters; no-op without an
-  // open cycle.
+  // Stamps the open row's valuation counters; no-op without an open cycle.
   void SetCycleCounters(int64_t valuation_cache_hits, int64_t valuation_cache_misses,
-                        int64_t valuation_kernel_calls, int64_t milp_shards = 0);
+                        int64_t valuation_kernel_calls);
   void EndCycle(double cycle_seconds);
 
   const std::vector<CyclePhaseRow>& rows() const { return rows_; }

@@ -10,7 +10,6 @@
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
 #include "src/solver/milp.h"
-#include "src/solver/sharded_milp.h"
 
 namespace threesigma {
 namespace {
@@ -21,10 +20,6 @@ constexpr double kMinOptionUtility = 1e-6;
 // Full consumed_ rebuild period (in solves); squashes accumulated
 // add/subtract float drift.
 constexpr int kCacheRebuildPeriod = 256;
-
-// Cap on the fingerprint-keyed shard basis map; exceeding it clears the map
-// (deterministic, and bases only affect pivot counts — never answers).
-constexpr size_t kMaxShardBases = 128;
 
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   const std::chrono::duration<double> d = std::chrono::steady_clock::now() - t0;
@@ -53,8 +48,8 @@ DistributionScheduler::DistributionScheduler(const ClusterConfig& cluster,
 void DistributionScheduler::UpdateConfig(const DistSchedulerConfig& config) {
   TS_CHECK_GT(config.num_start_slots, 0);
   TS_CHECK_GT(config.planahead, 0.0);
+  TS_CHECK_EQ(config.solver_threads, config_.solver_threads);
   const bool dist_flip = config.use_distribution != config_.use_distribution;
-  const bool pool_change = config.solver_threads != config_.solver_threads;
   config_ = config;
 
   // The expected-capacity rows, cached survival vectors, planned options,
@@ -85,16 +80,9 @@ void DistributionScheduler::UpdateConfig(const DistSchedulerConfig& config) {
   }
   valuation_ = ValuationEngine(ValuationEngine::Config{config_.valuation_crosscheck});
   last_root_basis_ = LpBasis();
-  shard_bases_.clear();
   dirty_ = true;
   last_solve_ = -1e18;
   solves_since_rebuild_ = 0;
-  if (pool_change) {
-    pool_.reset();
-    if (config_.solver_threads > 1) {
-      pool_ = std::make_unique<ThreadPool>(config_.solver_threads);
-    }
-  }
 }
 
 void DistributionScheduler::ApplyOverestimateDecay(JobInfo& info, bool force) const {
@@ -492,9 +480,6 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
     obs::Counter* valuation_cache_hits;
     obs::Counter* valuation_cache_misses;
     obs::Counter* valuation_kernel_calls;
-    obs::Counter* milp_shards;
-    obs::Counter* milp_max_shard_vars;
-    obs::Histogram* shards_hist;
   };
   static const SchedCounters* const counters = [] {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
@@ -510,10 +495,6 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
     c->valuation_cache_hits = reg.GetCounter("sched.valuation_cache_hits");
     c->valuation_cache_misses = reg.GetCounter("sched.valuation_cache_misses");
     c->valuation_kernel_calls = reg.GetCounter("sched.valuation_kernel_calls");
-    c->milp_shards = reg.GetCounter("sched.milp_shards");
-    c->milp_max_shard_vars = reg.GetCounter("sched.milp_max_shard_vars");
-    c->shards_hist = reg.GetHistogram("sched.shards_per_solve",
-                                      {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0});
     return c;
   }();
   counters->cycles->Increment();
@@ -527,11 +508,6 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
   counters->valuation_cache_hits->Add(result.valuation_cache_hits);
   counters->valuation_cache_misses->Add(result.valuation_cache_misses);
   counters->valuation_kernel_calls->Add(result.valuation_kernel_calls);
-  counters->milp_shards->Add(result.milp_shards);
-  counters->milp_max_shard_vars->Add(result.milp_max_shard_vars);
-  if (result.milp_shards > 0) {
-    counters->shards_hist->Observe(static_cast<double>(result.milp_shards));
-  }
   return result;
 }
 
@@ -883,26 +859,8 @@ CycleResult DistributionScheduler::RunCycleImpl(Time now, const ClusterStateView
   MilpSolution solution;
   {
     TS_OBS_SPAN("sched.solve", obs::Phase::kSolve);
-    if (config_.solver_shards) {
-      // Connected-component decomposition: one sub-MILP per component of the
-      // job↔equivalence-set graph, solved concurrently on the solver pool
-      // with fingerprint-keyed warm bases. milp_options.root_basis (the
-      // monolithic hint) is ignored by the sharded path.
-      ShardedMilpOptions shard_options;
-      shard_options.base = milp_options;
-      shard_options.pool = pool_.get();
-      shard_options.shard_bases = &shard_bases_;
-      ShardedMilpSolution sharded = SolveShardedMilp(model, int_vars, shard_options);
-      solution = std::move(sharded.merged);
-      result.milp_shards = sharded.num_shards;
-      result.milp_max_shard_vars = sharded.max_shard_vars;
-      if (shard_bases_.size() > kMaxShardBases) {
-        shard_bases_.clear();
-      }
-    } else {
-      MilpSolver solver(model, int_vars);
-      solution = solver.Solve(milp_options);
-    }
+    MilpSolver solver(model, int_vars);
+    solution = solver.Solve(milp_options);
   }
   result.solver_seconds = SecondsSince(solve_start);
   if (!solution.root_basis.empty()) {
@@ -945,7 +903,7 @@ CycleResult DistributionScheduler::RunCycleImpl(Time now, const ClusterStateView
 }
 
 void DistributionScheduler::SaveState(SnapshotWriter& writer) const {
-  writer.BeginSection("sched", 3);
+  writer.BeginSection("sched", 4);
   writer.WriteString("3sigma-sched");
   writer.WriteVarU64(jobs_.size());
   for (const auto& [id, info] : jobs_) {
@@ -987,7 +945,7 @@ void DistributionScheduler::SaveState(SnapshotWriter& writer) const {
   for (BasisStatus s : last_root_basis_.status) {
     writer.WriteU8(static_cast<uint8_t>(s));
   }
-  // v2: the valuation engine's cached key set plus its lifetime counters.
+  // The valuation engine's cached key set plus its lifetime counters.
   // Tables themselves are rebuilt from restored job state on resume (they
   // are pure functions of it), so only the keys need to be persisted for
   // the resumed hit/miss stream to stay byte-identical.
@@ -995,17 +953,6 @@ void DistributionScheduler::SaveState(SnapshotWriter& writer) const {
   writer.WriteVarI64(val_hits_);
   writer.WriteVarI64(val_misses_);
   writer.WriteVarI64(val_kernel_calls_);
-  // v3: per-shard warm-start bases keyed by component fingerprint
-  // (sharded_milp.h). std::map iterates in ascending key order, so the
-  // encoding is deterministic.
-  writer.WriteVarU64(shard_bases_.size());
-  for (const auto& [fingerprint, basis] : shard_bases_) {
-    writer.WriteU64(fingerprint);
-    writer.WriteVarU64(basis.status.size());
-    for (BasisStatus s : basis.status) {
-      writer.WriteU8(static_cast<uint8_t>(s));
-    }
-  }
   writer.EndSection();
 
   writer.BeginSection("predict", 1);
@@ -1014,8 +961,10 @@ void DistributionScheduler::SaveState(SnapshotWriter& writer) const {
 }
 
 void DistributionScheduler::RestoreState(SnapshotReader& reader) {
-  uint32_t sched_version = 0;
-  reader.BeginSection("sched", &sched_version);
+  // Reads the version-4 layout only: restore is reached through
+  // Simulator::TryRestoreStateFromBuffer, whose "meta" gate rejects every
+  // snapshot version but the current one.
+  reader.BeginSection("sched");
   const std::string tag = reader.ReadString();
   if (reader.ok()) {
     TS_CHECK_MSG(tag == "3sigma-sched", "snapshot scheduler kind mismatch");
@@ -1072,44 +1021,23 @@ void DistributionScheduler::RestoreState(SnapshotReader& reader) {
   for (uint64_t i = 0; reader.ok() && i < basis_size; ++i) {
     last_root_basis_.status.push_back(static_cast<BasisStatus>(reader.ReadU8()));
   }
+  // Rebuild the cached tables from the restored job state; a key whose job
+  // exited between save and restore (impossible today, but harmless) is
+  // simply dropped.
   valuation_.Clear();
-  val_hits_ = 0;
-  val_misses_ = 0;
-  val_kernel_calls_ = 0;
-  if (sched_version >= 2) {
-    // Rebuild the cached tables from the restored job state; a key whose job
-    // exited between save and restore (impossible today, but harmless) is
-    // simply dropped.
-    for (const auto& [job, scale] : ValuationEngine::ReadSavedKeys(reader)) {
-      if (!reader.ok()) {
-        break;
-      }
-      const auto it = jobs_.find(job);
-      if (it != jobs_.end()) {
-        valuation_.Tables(job, scale, it->second.sched_dist, it->second.effective_utility,
-                          /*counters=*/nullptr);
-      }
+  for (const auto& [job, scale] : ValuationEngine::ReadSavedKeys(reader)) {
+    if (!reader.ok()) {
+      break;
     }
-    val_hits_ = reader.ReadVarI64();
-    val_misses_ = reader.ReadVarI64();
-    val_kernel_calls_ = reader.ReadVarI64();
-  }
-  shard_bases_.clear();
-  if (sched_version >= 3) {
-    const uint64_t num_bases = reader.ReadVarCount(/*min_elem_bytes=*/9);
-    for (uint64_t i = 0; reader.ok() && i < num_bases; ++i) {
-      const uint64_t fingerprint = reader.ReadU64();
-      const uint64_t size = reader.ReadVarCount(/*min_elem_bytes=*/1);
-      LpBasis basis;
-      basis.status.reserve(size);
-      for (uint64_t s = 0; reader.ok() && s < size; ++s) {
-        basis.status.push_back(static_cast<BasisStatus>(reader.ReadU8()));
-      }
-      if (reader.ok()) {
-        shard_bases_[fingerprint] = std::move(basis);
-      }
+    const auto it = jobs_.find(job);
+    if (it != jobs_.end()) {
+      valuation_.Tables(job, scale, it->second.sched_dist, it->second.effective_utility,
+                        /*counters=*/nullptr);
     }
   }
+  val_hits_ = reader.ReadVarI64();
+  val_misses_ = reader.ReadVarI64();
+  val_kernel_calls_ = reader.ReadVarI64();
   reader.EndSection();
 
   reader.BeginSection("predict");

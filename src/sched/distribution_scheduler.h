@@ -92,8 +92,8 @@ struct DistSchedulerConfig {
   Duration max_solve_skip = 30.0;
 
   // Size of the scheduler's worker pool (1 = no pool). It runs the per-job
-  // valuation fan-out and the shard fan-out (solver_shards), and the
-  // digital twin borrows it for scenario sweeps. Branch-and-bound itself is
+  // valuation fan-out, and the digital twin borrows it for scenario sweeps
+  // (each fork's own scheduler is serial). Branch-and-bound itself is
   // serial. Decisions are byte-identical at any value.
   int solver_threads = 1;
 
@@ -108,17 +108,6 @@ struct DistSchedulerConfig {
   // cycle's root basis seeds the next cycle's root relaxation. Affects LP
   // pivot counts only.
   bool solver_basis_warmstart = true;
-
-  // Shard decomposition (src/solver/sharded_milp.h): split the cycle MILP
-  // into connected components of the job↔equivalence-set constraint graph
-  // and solve them as independent sub-MILPs on the solver pool, each with
-  // its own fingerprint-keyed warm-start basis. Exact — the merged solution
-  // matches the monolithic objective bitwise — and byte-identical at any
-  // shard/thread count. Interacts with budgets: every shard receives the
-  // full solver_max_nodes, so with a *binding* node budget the sharded
-  // search explores more of the tree than the monolithic one (run with
-  // solver_max_nodes = 0 when comparing against the monolithic solve).
-  bool solver_shards = false;
 
   // Debug mode for the Eq. 1 valuation engine (src/sched/valuation.h):
   // every kernel and survival answer is re-derived with the generic
@@ -155,8 +144,8 @@ class DistributionScheduler : public Scheduler {
   // Checkpointing: serializes the full scheduler state (job table with
   // conditioned distributions and cached survival vectors, pending order,
   // solve-skip state, consumed_ rows, cache counters, last_root_basis_, and
-  // the per-shard basis map) into a "sched" section, then the predictor into
-  // a "predict" section.
+  // the valuation engine's cached keys) into a "sched" section, then the
+  // predictor into a "predict" section.
   // RestoreState requires a scheduler constructed with the same config and
   // predictor graph; the cluster shape is validated via consumed_ geometry.
   void SaveState(SnapshotWriter& writer) const override;
@@ -169,7 +158,8 @@ class DistributionScheduler : public Scheduler {
   // flips, the OE decay gate is re-evaluated for every job, and the
   // expected-capacity rows, valuation tables, solve-skip plan, and warm-start
   // basis are all reset (they encode the old policy). The cluster and
-  // predictor are unchanged; `config.name` is adopted as-is.
+  // predictor are unchanged; `config.name` is adopted as-is. The worker pool
+  // is sized at construction, so `config.solver_threads` must not change.
   void UpdateConfig(const DistSchedulerConfig& config);
 
   // The shared solver pool (null when solver_threads <= 1). The digital-twin
@@ -295,12 +285,6 @@ class DistributionScheduler : public Scheduler {
   // to the simplex itself). A shape mismatch is detected and discarded at
   // install time, so consecutive cycles of different sizes are safe.
   LpBasis last_root_basis_;
-
-  // Sharded counterpart of last_root_basis_: per-component root bases keyed
-  // by structural fingerprint (sharded_milp.h), reused across cycles while a
-  // component keeps its shape. Deterministically cleared when it outgrows
-  // kMaxShardBases (a hard bound on snapshot size and stale entries).
-  std::map<uint64_t, LpBasis> shard_bases_;
 
   // Shared across cycles so the fan-outs never re-spawn threads.
   std::unique_ptr<ThreadPool> pool_;

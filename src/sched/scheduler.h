@@ -83,11 +83,6 @@ struct CycleResult {
   // many times the incumbent improved during the solve.
   int milp_max_queue_depth = 0;
   int milp_incumbent_improvements = 0;
-  // Shard decomposition diagnostics (0 when solver_shards is off or the
-  // cycle skipped its solve): connected components in the cycle MILP and the
-  // largest component's variable count (imbalance indicator).
-  int milp_shards = 0;
-  int milp_max_shard_vars = 0;
   // Expected-capacity cache traffic this cycle (running jobs served from
   // their cached survival vector vs. recomputed).
   int64_t capacity_cache_hits = 0;

@@ -73,8 +73,9 @@ struct Event {
 
 // v2: open-workload mode — SimOptions.open_workload, RunState submission
 // bookkeeping (submissions_closed, last_arrival), and the per-job arrived
-// flag.
-constexpr uint32_t kSnapshotVersion = 4;
+// flag. v5: the per-cycle stats in "metrics" no longer carry the two
+// shard-decomposition fields.
+constexpr uint32_t kSnapshotVersion = 5;
 
 void SaveSimOptions(SnapshotWriter& writer, const SimOptions& o) {
   writer.WriteDouble(o.cycle_period);
@@ -559,8 +560,7 @@ bool Simulator::ProcessEvent() {
       if (obs::CycleProfiler::enabled()) {
         obs::CycleProfiler::Global().SetCycleCounters(decision.valuation_cache_hits,
                                                       decision.valuation_cache_misses,
-                                                      decision.valuation_kernel_calls,
-                                                      decision.milp_shards);
+                                                      decision.valuation_kernel_calls);
         obs::CycleProfiler::Global().EndCycle(decision.cycle_seconds);
       }
       if (obs::Tracer::enabled()) {
@@ -594,9 +594,7 @@ bool Simulator::ProcessEvent() {
                                          decision.capacity_cache_misses,
                                          decision.valuation_cache_hits,
                                          decision.valuation_cache_misses,
-                                         decision.valuation_kernel_calls,
-                                         decision.milp_shards,
-                                         decision.milp_max_shard_vars});
+                                         decision.valuation_kernel_calls});
 
       // 1. Preemptions free capacity first (slot-0 placements may rely on
       //    the freed nodes).
@@ -1048,8 +1046,6 @@ std::string Simulator::SaveStateToBuffer() {
     writer.WriteVarI64(c.valuation_cache_hits);
     writer.WriteVarI64(c.valuation_cache_misses);
     writer.WriteVarI64(c.valuation_kernel_calls);
-    writer.WriteVarI64(c.milp_shards);
-    writer.WriteVarI64(c.milp_max_shard_vars);
   }
   writer.EndSection();
 
@@ -1245,8 +1241,6 @@ bool Simulator::TryRestoreStateFromBuffer(const std::string& buffer, std::string
       c.valuation_cache_hits = reader.ReadVarI64();
       c.valuation_cache_misses = reader.ReadVarI64();
       c.valuation_kernel_calls = reader.ReadVarI64();
-      c.milp_shards = static_cast<int>(reader.ReadVarI64());
-      c.milp_max_shard_vars = static_cast<int>(reader.ReadVarI64());
     }
   }
   reader.EndSection();

@@ -150,9 +150,6 @@ struct CycleStats {
   int64_t valuation_cache_hits = 0;
   int64_t valuation_cache_misses = 0;
   int64_t valuation_kernel_calls = 0;
-  // Shard-decomposition diagnostics (see CycleResult; zero with shards off).
-  int milp_shards = 0;
-  int milp_max_shard_vars = 0;
 };
 
 struct SimResult {

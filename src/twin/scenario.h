@@ -12,9 +12,8 @@
 //
 //   name=surge2x,surge=2.0,planahead=600;name=chaos,failures=8
 //
-// Keys: name, system, planahead, oe_threshold, solver_threads, solver_shards,
-// padding, surge, surge_window, failures, failure_after, failure_duration,
-// inflation.
+// Keys: name, system, planahead, oe_threshold, padding, surge, surge_window,
+// failures, failure_after, failure_duration, inflation.
 
 #ifndef SRC_TWIN_SCENARIO_H_
 #define SRC_TWIN_SCENARIO_H_
@@ -32,8 +31,6 @@ struct Scenario {
   // --- Policy-config overrides (sentinel = keep the live value) -------------
   Duration planahead = -1.0;              // > 0 overrides.
   double oe_probability_threshold = -1.0; // >= 0 overrides.
-  int solver_threads = 0;                 // > 0 overrides.
-  int solver_shards = -1;                 // >= 0 overrides (0 off, 1 on).
   // Scheduler-kind switch within the DistributionScheduler family
   // ("3Sigma", "3SigmaNoDist", "3SigmaNoOE", "3SigmaNoAdapt",
   // "PointRealEst"); empty keeps the live kind.
@@ -60,8 +57,7 @@ struct Scenario {
   // True when any policy-config override is set (the fork then reconfigures
   // its scheduler; otherwise the restored scheduler continues untouched).
   bool HasConfigOverride() const {
-    return planahead > 0.0 || oe_probability_threshold >= 0.0 || solver_threads > 0 ||
-           solver_shards >= 0 || !system.empty();
+    return planahead > 0.0 || oe_probability_threshold >= 0.0 || !system.empty();
   }
 
   // Deterministic one-line rendering of the non-default fields; also a valid

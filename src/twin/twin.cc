@@ -126,7 +126,11 @@ TwinFork::TwinFork(const std::string& snapshot, const ClusterConfig& cluster, Sy
   }
   predictor_ = std::make_unique<InflatedPredictor>(
       inner_predictor_.get(), scenario.padding * scenario.predictor_inflation);
-  sched_ = std::make_unique<DistributionScheduler>(cluster_, predictor_.get(), live_config);
+  // Forks run serially: the sweep already fans them out on the live pool,
+  // and decisions are byte-identical at any thread count.
+  DistSchedulerConfig fork_config = live_config;
+  fork_config.solver_threads = 1;
+  sched_ = std::make_unique<DistributionScheduler>(cluster_, predictor_.get(), fork_config);
   SimOptions options;
   options.speculative = true;
   sim_ = std::make_unique<Simulator>(cluster_, sched_.get(), std::vector<JobSpec>{}, options);
@@ -151,12 +155,6 @@ void TwinFork::ApplyScenario() {
     }
     if (scenario_.oe_probability_threshold >= 0.0) {
       config.oe_probability_threshold = scenario_.oe_probability_threshold;
-    }
-    if (scenario_.solver_threads > 0) {
-      config.solver_threads = scenario_.solver_threads;
-    }
-    if (scenario_.solver_shards >= 0) {
-      config.solver_shards = scenario_.solver_shards != 0;
     }
     sched_->UpdateConfig(config);
   }
@@ -363,12 +361,6 @@ void Advisor::Evaluate(WhatIfReport* report, const std::vector<Scenario>& scenar
   if (winner.oe_probability_threshold >= 0.0) {
     config.oe_probability_threshold = winner.oe_probability_threshold;
   }
-  if (winner.solver_threads > 0) {
-    config.solver_threads = winner.solver_threads;
-  }
-  if (winner.solver_shards >= 0) {
-    config.solver_shards = winner.solver_shards != 0;
-  }
   live_sched->UpdateConfig(config);
   report->applied = true;
   ++state_.applied;
@@ -378,8 +370,6 @@ void Advisor::Evaluate(WhatIfReport* report, const std::vector<Scenario>& scenar
   record.system = winner.system;
   record.planahead = winner.planahead;
   record.oe_probability_threshold = winner.oe_probability_threshold;
-  record.solver_threads = winner.solver_threads;
-  record.solver_shards = winner.solver_shards;
   state_.applied_scenario = record;
 }
 
@@ -438,12 +428,6 @@ void Advisor::RestoreState(SnapshotReader& reader, DistributionScheduler* live_s
   }
   if (rec.oe_probability_threshold >= 0.0) {
     config.oe_probability_threshold = rec.oe_probability_threshold;
-  }
-  if (rec.solver_threads > 0) {
-    config.solver_threads = rec.solver_threads;
-  }
-  if (rec.solver_shards >= 0) {
-    config.solver_shards = rec.solver_shards != 0;
   }
   live_sched->UpdateConfig(config);
 }

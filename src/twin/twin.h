@@ -111,8 +111,10 @@ class TwinFork {
   // `snapshot` is a live Simulator::SaveStateToBuffer() buffer; it must
   // outlive the fork (readers borrow it). `kind` names the live system
   // (DistributionScheduler family only) and `live_config` the live
-  // scheduler's configuration — restore requires the identical config, and
-  // scenario overrides are applied after restore. Check ok() before use.
+  // scheduler's configuration — restore requires the identical policy, and
+  // scenario overrides are applied after restore. The fork's scheduler is
+  // built with solver_threads = 1 (no pool of its own). Check ok() before
+  // use.
   TwinFork(const std::string& snapshot, const ClusterConfig& cluster, SystemKind kind,
            const DistSchedulerConfig& live_config, const Scenario& scenario);
 

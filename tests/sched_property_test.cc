@@ -8,17 +8,11 @@
 //   - Eq. 2 conditioning yields a valid survival function: 1 − CDF(t)
 //     non-increasing in t, within [0, 1], and equal to S(e + t)/S(e),
 //   - the incremental cache's delta-updated rows match a from-scratch
-//     recompute across a whole simulation (crosscheck mode),
-//   - shard decomposition (--solver-shards) never moves a decision: sharded
-//     unbudgeted runs match monolithic ones byte-for-byte, stay identical
-//     across solver thread counts and fault injection, and survive a
-//     checkpoint→kill→resume with the per-shard basis map restored.
+//     recompute across a whole simulation (crosscheck mode).
 
 #include <iomanip>
-#include <map>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -55,11 +49,8 @@ ExperimentConfig PropertyConfig() {
 // Serializes everything decision-relevant in a SimResult — job outcomes and
 // per-cycle solver/queue/cache counters in simulated time — while excluding
 // wall-clock measurements (cycle_seconds, solver_seconds), which legitimately
-// vary run to run. `include_solver_counters` is dropped when comparing
-// shards off vs on: the decomposed search visits a different (smaller) node
-// set, so node/queue/incumbent tallies and the shard counters legitimately
-// differ while every decision stays identical.
-std::string DecisionTrace(const SimResult& result, bool include_solver_counters = true) {
+// vary run to run.
+std::string DecisionTrace(const SimResult& result) {
   std::ostringstream os;
   os << std::setprecision(17);
   for (const JobRecord& job : result.jobs) {
@@ -73,15 +64,12 @@ std::string DecisionTrace(const SimResult& result, bool include_solver_counters 
     os << "\n";
   }
   for (const CycleStats& c : result.cycles) {
-    os << "cycle " << c.time << " v" << c.milp_variables << " r" << c.milp_rows;
-    if (include_solver_counters) {
-      os << " n" << c.milp_nodes << " q" << c.milp_max_queue_depth << " i"
-         << c.milp_incumbent_improvements << " sd" << c.milp_shards << " sv"
-         << c.milp_max_shard_vars;
-    }
-    os << " h" << c.capacity_cache_hits << " m" << c.capacity_cache_misses << " p" << c.pending
-       << " j" << c.running_jobs << " vh" << c.valuation_cache_hits << " vm"
-       << c.valuation_cache_misses << " vk" << c.valuation_kernel_calls << "\n";
+    os << "cycle " << c.time << " v" << c.milp_variables << " r" << c.milp_rows << " n"
+       << c.milp_nodes << " q" << c.milp_max_queue_depth << " i"
+       << c.milp_incumbent_improvements << " h" << c.capacity_cache_hits << " m"
+       << c.capacity_cache_misses << " p" << c.pending << " j" << c.running_jobs << " vh"
+       << c.valuation_cache_hits << " vm" << c.valuation_cache_misses << " vk"
+       << c.valuation_kernel_calls << "\n";
   }
   os << "rejected " << result.rejected_placements << " preempts " << result.total_preemptions
      << " end " << result.end_time << "\n";
@@ -270,202 +258,6 @@ TEST(SchedPropertyTest, ValuationCrosscheckCleanOverFullRun) {
   EXPECT_GT(m.valuation_kernel_calls, 0);
   EXPECT_GT(m.valuation_cache_hits, 0);
   EXPECT_GT(m.valuation_cache_hit_rate, 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// Shard decomposition: exact and deterministic through the full stack.
-
-void Pretrain(SystemInstance& instance, const GeneratedWorkload& workload) {
-  for (const JobSpec& job : workload.pretrain) {
-    instance.predictor->RecordCompletion(job.features, job.true_runtime);
-  }
-}
-
-ExperimentConfig ShardPropertyConfig() {
-  ExperimentConfig config = PropertyConfig();
-  // Shards off vs on can only be compared unbudgeted: with a *binding* node
-  // budget every shard receives the full budget, so the two searches truncate
-  // at different points by design (see DESIGN.md). Unbudgeted monolithic
-  // trees over the default pending window are far too slow for a unit test,
-  // so shrink the consideration window and the run — the property itself is
-  // unchanged.
-  config.sched.solver_max_nodes = 0;
-  config.sched.max_pending_considered = 4;
-  config.sched.num_start_slots = 3;
-  config.cluster = ClusterConfig::Uniform(2, 8);
-  config.workload.duration = Minutes(6.0);
-  config.workload.model_sample_jobs = 400;
-  config.workload.pretrain_jobs = 400;
-  return config;
-}
-
-TEST(SchedPropertyTest, SolverShardsNeverChangeTheSchedule) {
-  ExperimentConfig config = ShardPropertyConfig();
-  const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
-
-  for (const bool faults : {false, true}) {
-    if (faults) {
-      config.sim.faults.node_mttf = 1500.0;
-      config.sim.faults.node_mttr = 240.0;
-      config.sim.faults.task_kill_prob = 0.05;
-      config.sim.faults.straggler_prob = 0.1;
-      config.sim.faults.straggler_factor = 2.0;
-      config.sim.faults.cycle_stall_prob = 0.05;
-      config.sim.faults.seed = 5;
-    }
-
-    config.sched.solver_shards = false;
-    config.sched.solver_threads = 1;
-    const SimResult mono = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-    ASSERT_GT(mono.jobs.size(), 0u);
-    const std::string mono_trace = DecisionTrace(mono, /*include_solver_counters=*/false);
-
-    // Sharded decisions are byte-identical to the monolithic ones (solver
-    // counters excluded: the decomposed search visits fewer nodes).
-    config.sched.solver_shards = true;
-    const SimResult sharded1 = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-    EXPECT_EQ(mono_trace, DecisionTrace(sharded1, /*include_solver_counters=*/false))
-        << "shards on moved a decision (faults=" << faults << ")";
-
-    // And the sharded run itself is fully byte-identical — counters included —
-    // at any solver thread count.
-    config.sched.solver_threads = 4;
-    const SimResult sharded4 = SimulateSystem(SystemKind::kThreeSigma, config, workload);
-    EXPECT_EQ(DecisionTrace(sharded1), DecisionTrace(sharded4))
-        << "sharded run depends on thread count (faults=" << faults << ")";
-
-    // The decomposition layer must actually be in the loop. On a uniform
-    // cluster every job is eligible everywhere, so cycles stay one connected
-    // component (mean shards == 1); the multi-shard path is pinned by
-    // DisjointPreferenceJobsDecomposeIntoShards below and by the
-    // shard_differential suite.
-    const RunMetrics m = ComputeMetrics(sharded4, "3Sigma");
-    EXPECT_GT(m.total_milp_shards, 0) << "sharded path never ran (faults=" << faults << ")";
-    EXPECT_GE(m.mean_milp_shards, 1.0);
-    config.sched.solver_threads = 1;
-    config.sched.solver_shards = false;
-  }
-}
-
-// On a uniform cluster every pending job is eligible on every group, so the
-// per-cycle constraint graph of a full google-workload run is one connected
-// component and the full-run tests above exercise the single-shard path. The
-// multi-component path is pinned down here: two tight-deadline SLO jobs with
-// disjoint preferred groups (the 1.5x non-preferred slowdown blows their
-// deadlines, so those options are EU-gated away) decompose into two
-// independent sub-MILPs — and the schedule is the monolithic one.
-class PointPredictor : public RuntimePredictor {
- public:
-  RuntimePrediction Predict(const JobFeatures&, double) override {
-    RuntimePrediction pred;
-    pred.distribution = EmpiricalDistribution::FromSamples({200.0});
-    pred.point_estimate = 200.0;
-    pred.from_history = true;
-    return pred;
-  }
-  void RecordCompletion(const JobFeatures&, double) override {}
-};
-
-TEST(SchedPropertyTest, DisjointPreferenceJobsDecomposeIntoShards) {
-  const ClusterConfig cluster = ClusterConfig::Uniform(2, 8);
-  PointPredictor predictor;
-  DistSchedulerConfig config;
-  config.solver_time_limit_seconds = 0.0;
-  config.solver_max_nodes = 0;
-  // OE handling would re-extend the gated non-preferred options past their
-  // deadlines and recouple the groups; this test needs the hard gate.
-  config.overestimate_handling = false;
-
-  auto make_job = [](JobId id, int preferred_group) {
-    JobSpec spec;
-    spec.id = id;
-    spec.type = JobType::kSlo;
-    spec.submit_time = 0.0;
-    spec.true_runtime = 200.0;
-    spec.num_tasks = 2;
-    spec.deadline = 260.0;  // Meets at 200 on-preference; 300 off-preference.
-    spec.preferred_groups = {preferred_group};
-    spec.utility = UtilityFunction::SloStep(10.0, spec.deadline);
-    spec.features = {"u" + std::to_string(preferred_group)};
-    return spec;
-  };
-
-  CycleResult mono;
-  CycleResult sharded;
-  for (const bool shards : {false, true}) {
-    config.solver_shards = shards;
-    DistributionScheduler sched(cluster, &predictor, config);
-    sched.OnJobArrival(make_job(1, 0), 0.0);
-    sched.OnJobArrival(make_job(2, 1), 0.0);
-    ClusterStateView view;
-    view.cluster = &cluster;
-    view.free_nodes = {8, 8};
-    (shards ? sharded : mono) = sched.RunCycle(5.0, view);
-  }
-
-  EXPECT_EQ(sharded.milp_shards, 2) << "disjoint-preference jobs did not decompose";
-  EXPECT_EQ(mono.milp_shards, 0);
-  ASSERT_EQ(mono.start.size(), 2u);
-  ASSERT_EQ(sharded.start.size(), 2u);
-  for (size_t i = 0; i < mono.start.size(); ++i) {
-    EXPECT_EQ(mono.start[i].job, sharded.start[i].job);
-    EXPECT_EQ(mono.start[i].group, sharded.start[i].group);
-  }
-  // Each job landed on its preferred group (the only ungated option).
-  EXPECT_EQ(sharded.start[0].group, 0);
-  EXPECT_EQ(sharded.start[1].group, 1);
-}
-
-TEST(SchedPropertyTest, ShardedCheckpointResumeIsByteIdentical) {
-  // Checkpoint a sharded, faulty, multi-threaded run mid-flight, "kill" it,
-  // resume into a freshly built system, and the finished trace must be
-  // byte-identical — which requires the per-shard basis map ("sched" section
-  // v3) to be restored exactly, since warm-started root LPs can settle on a
-  // different optimal basis than cold ones at degenerate ties.
-  ExperimentConfig config = PropertyConfig();
-  config.workload.duration = Minutes(10.0);
-  config.sched.solver_shards = true;
-  config.sched.solver_threads = 4;
-  config.sim.faults.node_mttf = 1500.0;
-  config.sim.faults.node_mttr = 240.0;
-  config.sim.faults.task_kill_prob = 0.05;
-  config.sim.faults.straggler_prob = 0.1;
-  config.sim.faults.straggler_factor = 2.0;
-  config.sim.faults.cycle_stall_prob = 0.05;
-  config.sim.faults.seed = 5;
-  const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
-
-  SystemInstance reference = MakeSystem(SystemKind::kThreeSigma, config.cluster, config.sched);
-  Pretrain(reference, workload);
-  Simulator ref_sim(config.cluster, reference.scheduler.get(), workload.jobs, config.sim);
-  const SimResult ref_result = ref_sim.Run();
-  const std::string ref_trace = DecisionTrace(ref_result);
-  ASSERT_GT(ref_result.cycles.size(), 20u) << "config too small to exercise checkpointing";
-  const RunMetrics ref_metrics = ComputeMetrics(ref_result, "3Sigma");
-  ASSERT_GT(ref_metrics.total_milp_shards, 0);
-
-  for (const uint64_t checkpoint_cycle : {5u, 23u}) {
-    std::string buffer;
-    {
-      SystemInstance doomed = MakeSystem(SystemKind::kThreeSigma, config.cluster, config.sched);
-      Pretrain(doomed, workload);
-      Simulator sim(config.cluster, doomed.scheduler.get(), workload.jobs, config.sim);
-      while (sim.cycles_completed() < checkpoint_cycle) {
-        ASSERT_TRUE(sim.Step());
-      }
-      buffer = sim.SaveStateToBuffer();
-      // Destruction here is the kill.
-    }
-
-    SystemInstance resumed = MakeSystem(SystemKind::kThreeSigma, config.cluster, config.sched);
-    Pretrain(resumed, workload);
-    Simulator sim(config.cluster, resumed.scheduler.get(), {}, config.sim);
-    sim.RestoreStateFromBuffer(buffer);
-    EXPECT_EQ(sim.cycles_completed(), checkpoint_cycle);
-    const SimResult result = sim.Run();
-    EXPECT_EQ(DecisionTrace(result), ref_trace)
-        << "divergence after resuming a sharded run at cycle " << checkpoint_cycle;
-  }
 }
 
 }  // namespace

@@ -612,6 +612,35 @@ TEST(CheckpointResumeTest, GracefulRejection) {
   ASSERT_TRUE(other_sim.Step());
   EXPECT_FALSE(sim.TryRestoreStateFromBuffer(other_sim.SaveStateToBuffer(), &error));
   EXPECT_NE(error.find("groups"), std::string::npos) << error;
+
+  // A well-formed snapshot from an older format (version 4 still carried the
+  // shard-decomposition state) is rejected by the "meta" version gate. The
+  // first section is "meta": magic (8 bytes), name length (1), "meta" (4),
+  // then its u32 version; patch that and re-seal the trailing CRC.
+  SystemInstance source = MakeSystem(SystemKind::kThreeSigma, config.cluster, config.sched);
+  Simulator source_sim(config.cluster, source.scheduler.get(), {}, config.sim);
+  const std::string current = source_sim.SaveStateToBuffer();
+  {
+    SystemInstance fresh = MakeSystem(SystemKind::kThreeSigma, config.cluster, config.sched);
+    Simulator target(config.cluster, fresh.scheduler.get(), {}, config.sim);
+    ASSERT_TRUE(target.TryRestoreStateFromBuffer(current, &error)) << error;
+  }
+  constexpr size_t kMetaNameOffset = 8 + 1;
+  constexpr size_t kMetaVersionOffset = kMetaNameOffset + 4;
+  ASSERT_EQ(current.substr(kMetaNameOffset, 4), "meta");
+  std::string old_format = current;
+  const uint32_t old_version = 4;
+  const size_t body = old_format.size() - 4;
+  for (size_t i = 0; i < 4; ++i) {
+    old_format[kMetaVersionOffset + i] = static_cast<char>((old_version >> (8 * i)) & 0xff);
+  }
+  const uint32_t crc = Crc32(old_format.data(), body);
+  for (size_t i = 0; i < 4; ++i) {
+    old_format[body + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
+  }
+  error.clear();
+  EXPECT_FALSE(sim.TryRestoreStateFromBuffer(old_format, &error));
+  EXPECT_NE(error.find("unsupported snapshot version 4"), std::string::npos) << error;
 }
 
 TEST(SnapshotDeathTest, TruncatedSnapshotAborts) {

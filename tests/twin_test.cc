@@ -106,7 +106,7 @@ TEST(ScenarioTest, ParseAndDescribeRoundTrip) {
   Scenario scenario;
   std::string error;
   ASSERT_TRUE(ParseScenario(
-      "name=stress,planahead=600,oe_threshold=0.2,solver_threads=2,surge=1.5,"
+      "name=stress,planahead=600,oe_threshold=0.2,surge=1.5,"
       "surge_window=300,failures=2,failure_after=30,failure_duration=120,"
       "inflation=1.25,padding=1.1,system=3SigmaNoOE",
       &scenario, &error))
@@ -114,7 +114,6 @@ TEST(ScenarioTest, ParseAndDescribeRoundTrip) {
   EXPECT_EQ(scenario.name, "stress");
   EXPECT_DOUBLE_EQ(scenario.planahead, 600.0);
   EXPECT_DOUBLE_EQ(scenario.oe_probability_threshold, 0.2);
-  EXPECT_EQ(scenario.solver_threads, 2);
   EXPECT_DOUBLE_EQ(scenario.arrival_surge, 1.5);
   EXPECT_DOUBLE_EQ(scenario.surge_window, 300.0);
   EXPECT_EQ(scenario.extra_node_failures, 2);
@@ -144,6 +143,12 @@ TEST(ScenarioTest, ParseListAndErrors) {
   Scenario scenario;
   EXPECT_FALSE(ParseScenario("bogus_key=1", &scenario, &error));
   EXPECT_FALSE(ParseScenario("planahead=abc", &scenario, &error));
+  // Decisions are byte-identical at any thread count and there is one MILP
+  // solve path, so no scenario key selects either.
+  for (const std::string spec : {"solver_shards=1", "solver_threads=2"}) {
+    EXPECT_FALSE(ParseScenario(spec, &scenario, &error)) << spec;
+    EXPECT_NE(error.find("unknown scenario key"), std::string::npos) << spec << ": " << error;
+  }
 }
 
 TEST(ScenarioTest, DefaultScenariosAreWellFormed) {
@@ -322,6 +327,17 @@ TEST_F(TwinForkTest, EngineThreadCountDoesNotChangeReport) {
     ASSERT_TRUE(parallel_sim.Step());
   }
   ASSERT_NE(parallel_sched.solver_pool(), nullptr);
+  {
+    // Forks of a pooled live scheduler are serial: the sweep already fans
+    // them out on the live pool, so a per-fork pool would oversubscribe it.
+    const std::string snapshot = parallel_sim.SaveStateToBuffer();
+    for (const Scenario& scenario : {Scenario{}, DefaultScenarios()[0]}) {
+      TwinFork fork(snapshot, cluster_, SystemKind::kThreeSigma, parallel_config, scenario);
+      ASSERT_TRUE(fork.ok()) << fork.error();
+      EXPECT_EQ(fork.sched().solver_pool(), nullptr) << scenario.Describe();
+      EXPECT_EQ(fork.sched().config().solver_threads, 1) << scenario.Describe();
+    }
+  }
   WhatIfEngine parallel_engine(cluster_, &parallel_sched, options);
   const std::string parallel = parallel_engine.Run(parallel_sim, DefaultScenarios(), 40).ToText();
 
