@@ -146,16 +146,14 @@ void BM_BnbNodeStreamBasis(benchmark::State& state) {
 }
 BENCHMARK(BM_BnbNodeStreamBasis)->Arg(0)->Arg(1);
 
-// Node throughput at the shape of a fig06 cycle's MILP: 48 jobs x 24 options
-// over 24 capacity rows (~1,150 binaries x 72 rows) at the scheduler's default
-// budget of 6 nodes. At this size per-node work that scales with the variable
-// count (greedy rounding, branching-variable scans) shows next to the LPs.
+// Branch-and-bound node throughput at the scheduler's default budget of 6
+// nodes on a SchedulerShapedModel(jobs, options_per_job, 24 capacity rows).
 //   nodes/s  — branch-and-bound nodes per second
 //   greedy   — greedy rounding passes per solve
-void BM_BnbNodeThroughputFig06(benchmark::State& state) {
+void BnbNodeThroughput(benchmark::State& state, int jobs, int options_per_job) {
   Rng rng(42);
   std::vector<int> int_vars;
-  const LpModel model = SchedulerShapedModel(48, 24, 24, rng, &int_vars);
+  const LpModel model = SchedulerShapedModel(jobs, options_per_job, 24, rng, &int_vars);
   MilpOptions options;
   options.max_nodes = 6;
   int64_t nodes = 0, greedy_rounds = 0, replays = 0;
@@ -173,7 +171,17 @@ void BM_BnbNodeThroughputFig06(benchmark::State& state) {
   state.counters["vars"] = model.num_variables();
   state.counters["rows"] = model.num_rows();
 }
+
+// The shape of a fig06 cycle's MILP: 48 jobs x 24 options (~1,150 binaries x
+// 72 rows). At this size per-node work that scales with the variable count
+// (greedy rounding, branching-variable scans) shows next to the LPs.
+void BM_BnbNodeThroughputFig06(benchmark::State& state) { BnbNodeThroughput(state, 48, 24); }
 BENCHMARK(BM_BnbNodeThroughputFig06);
+
+// The shape of a Fig. 12 cycle's MILP (96-job cap): 96 jobs x 16 options
+// (~1,500 binaries x 120 rows), where node LPs dominate the solve.
+void BM_BnbNodeThroughputFig12(benchmark::State& state) { BnbNodeThroughput(state, 96, 16); }
+BENCHMARK(BM_BnbNodeThroughputFig12);
 
 void BM_SimplexDense(benchmark::State& state) {
   // Dense random LP: stresses pricing and the basis inverse.

@@ -1,6 +1,82 @@
 #include "src/core/config_flags.h"
 
+#include <cmath>
+#include <limits>
+#include <sstream>
+
 namespace threesigma {
+namespace {
+
+constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+
+void SetError(std::string* error, const std::string& message) {
+  if (error != nullptr) {
+    *error = message;
+  }
+}
+
+// An integer flag must lie in [lo, hi].
+bool CheckInt(const char* flag, int64_t value, int64_t lo, int64_t hi, std::string* error) {
+  if (value >= lo && value <= hi) {
+    return true;
+  }
+  std::ostringstream out;
+  out << "flag --" << flag << ": " << value << " is out of range; allowed: ";
+  if (hi == kIntMax) {
+    out << ">= " << lo;
+  } else {
+    out << "[" << lo << ", " << hi << "]";
+  }
+  SetError(error, out.str());
+  return false;
+}
+
+// A real-valued flag must be finite, above lo (or at it when !lo_open) and
+// at most hi.
+bool CheckReal(const char* flag, double value, double lo, bool lo_open, double hi,
+               std::string* error) {
+  const bool above = lo_open ? value > lo : value >= lo;
+  if (std::isfinite(value) && above && value <= hi) {
+    return true;
+  }
+  std::ostringstream out;
+  out << "flag --" << flag << ": " << value << " is out of range; allowed: ";
+  if (std::isinf(hi)) {
+    out << (lo_open ? "> " : ">= ") << lo;
+  } else {
+    out << (lo_open ? "(" : "[") << lo << ", " << hi << "]";
+  }
+  SetError(error, out.str());
+  return false;
+}
+
+// Range checks for every numeric flag whose out-of-range values would
+// otherwise abort deep inside a module, hang, or silently run as something
+// else (e.g. --solver-threads=0 as one thread).
+bool CheckRanges(const ExperimentFlags& f, std::string* error) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  return CheckReal("hours", f.hours, 0.0, true, kInf, error) &&
+         CheckReal("load", f.load, 0.0, true, kInf, error) &&
+         CheckInt("groups", f.groups, 1, kIntMax, error) &&
+         CheckInt("nodes-per-group", f.nodes_per_group, 1, kIntMax, error) &&
+         CheckReal("cycle", f.cycle, 0.0, true, kInf, error) &&
+         CheckInt("solver-threads", f.solver_threads, 1, 256, error) &&
+         CheckInt("solver-max-nodes", f.solver_max_nodes, 0, kIntMax, error) &&
+         CheckInt("max-pending", f.max_pending, 1, kIntMax, error) &&
+         CheckInt("start-slots", f.start_slots, 1, kIntMax, error) &&
+         CheckReal("fault-mttf", f.fault_mttf, 0.0, false, kInf, error) &&
+         CheckReal("fault-mttr", f.fault_mttr, 0.0, true, kInf, error) &&
+         CheckReal("fault-kill-prob", f.fault_kill_prob, 0.0, false, 1.0, error) &&
+         CheckReal("fault-straggler-prob", f.fault_straggler_prob, 0.0, false, 1.0, error) &&
+         CheckReal("fault-straggler-factor", f.fault_straggler_factor, 1.0, false, kInf,
+                   error) &&
+         CheckReal("fault-stall-prob", f.fault_stall_prob, 0.0, false, 1.0, error) &&
+         CheckInt("checkpoint-every", f.checkpoint_every, 0, kIntMax, error) &&
+         CheckInt("max-cycles", f.max_cycles, 0, kIntMax, error) &&
+         CheckInt("obs-ring-capacity", f.obs_ring_capacity, 1, kIntMax, error);
+}
+
+}  // namespace
 
 void RegisterExperimentFlags(FlagParser& parser, ExperimentFlags* flags) {
   parser.AddString("env", &flags->env_name, "workload model: google | hedgefund | mustang")
@@ -72,6 +148,9 @@ void RegisterExperimentFlags(FlagParser& parser, ExperimentFlags* flags) {
 bool BuildExperimentConfig(const ExperimentFlags& flags, ExperimentConfig* config,
                            std::string* error) {
   *config = ExperimentConfig();
+  if (!CheckRanges(flags, error)) {
+    return false;
+  }
   config->cluster = ClusterConfig::Uniform(static_cast<int>(flags.groups),
                                            static_cast<int>(flags.nodes_per_group));
   if (!ParseEnvironmentName(flags.env_name, &config->workload.env)) {

@@ -57,7 +57,8 @@ struct ExperimentFlags {
 void RegisterExperimentFlags(FlagParser& parser, ExperimentFlags* flags);
 
 // Builds the config from parsed flag values. False + `*error` on an invalid
-// value (e.g. an unknown --env name).
+// value: an unknown --env name, or a numeric flag outside its allowed range
+// (the message names the flag and the range).
 bool BuildExperimentConfig(const ExperimentFlags& flags, ExperimentConfig* config,
                            std::string* error);
 

@@ -15,28 +15,45 @@ constexpr char kMagic[8] = {'3', 'S', 'G', 'S', 'N', 'A', 'P', '1'};
 constexpr size_t kMagicSize = sizeof(kMagic);
 constexpr size_t kCrcSize = 4;
 
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables for the reflected polynomial 0xEDB88320: tables[0] is
+// the classic bytewise table, and tables[k][b] is the CRC register after
+// byte b is followed by k zero bytes, so eight input bytes fold in with eight
+// independent lookups.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables BuildCrcTables() {
+  CrcTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFF];
+    }
+  }
+  return tables;
 }
 
+// Little-endian, one append per value.
 void AppendU32(std::string* buffer, uint32_t v) {
+  char bytes[4];
   for (int i = 0; i < 4; ++i) {
-    buffer->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
   }
+  buffer->append(bytes, sizeof(bytes));
 }
 
 void AppendU64(std::string* buffer, uint64_t v) {
+  char bytes[8];
   for (int i = 0; i < 8; ++i) {
-    buffer->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
   }
+  buffer->append(bytes, sizeof(bytes));
 }
 
 uint32_t LoadU32(const char* p) {
@@ -119,11 +136,22 @@ bool VerifyEnvelope(std::string_view buffer, std::string* error) {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
-  static const std::array<uint32_t, 256> table = BuildCrcTable();
+  static const CrcTables tables = BuildCrcTables();
+  const auto load32 = [](const uint8_t* q) {
+    return static_cast<uint32_t>(q[0]) | static_cast<uint32_t>(q[1]) << 8 |
+           static_cast<uint32_t>(q[2]) << 16 | static_cast<uint32_t>(q[3]) << 24;
+  };
   uint32_t c = seed ^ 0xFFFFFFFFu;
   const auto* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  for (; size >= 8; size -= 8, p += 8) {
+    const uint32_t lo = c ^ load32(p);
+    const uint32_t hi = load32(p + 4);
+    c = tables[7][lo & 0xFF] ^ tables[6][(lo >> 8) & 0xFF] ^ tables[5][(lo >> 16) & 0xFF] ^
+        tables[4][lo >> 24] ^ tables[3][hi & 0xFF] ^ tables[2][(hi >> 8) & 0xFF] ^
+        tables[1][(hi >> 16) & 0xFF] ^ tables[0][hi >> 24];
+  }
+  for (; size > 0; --size, ++p) {
+    c = tables[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
@@ -178,11 +206,14 @@ void SnapshotWriter::WriteU64(uint64_t v) {
 
 void SnapshotWriter::WriteVarU64(uint64_t v) {
   TS_CHECK(in_section_);
+  char bytes[10];  // ceil(64 / 7) LEB128 bytes at most.
+  size_t n = 0;
   while (v >= 0x80) {
-    buffer_.push_back(static_cast<char>((v & 0x7F) | 0x80));
+    bytes[n++] = static_cast<char>((v & 0x7F) | 0x80);
     v >>= 7;
   }
-  buffer_.push_back(static_cast<char>(v));
+  bytes[n++] = static_cast<char>(v);
+  buffer_.append(bytes, n);
 }
 
 void SnapshotWriter::WriteVarI64(int64_t v) {

@@ -46,30 +46,14 @@ bool IsIntegral(double v, double tol) { return std::fabs(v - std::round(v)) <= t
 }  // namespace
 
 MilpSolver::MilpSolver(const LpModel& model, std::vector<int> integer_vars)
-    : model_(model), integer_vars_(std::move(integer_vars)) {
+    : model_(model), integer_vars_(std::move(integer_vars)), columns_(model) {
   for (int v : integer_vars_) {
     TS_CHECK_GE(v, 0);
     TS_CHECK_LT(v, model_.num_variables());
   }
-  // Counting sort of the row-wise terms into columns; scanning rows in order
-  // leaves each column's entries in ascending row order.
-  col_start_.assign(static_cast<size_t>(model_.num_variables()) + 1, 0);
   for (const LpRow& row : model_.rows()) {
     if (row.sense != RowSense::kLessEqual) {
       all_rows_le_ = false;
-    }
-    for (const LpTerm& t : row.terms) {
-      ++col_start_[static_cast<size_t>(t.var) + 1];
-    }
-  }
-  for (size_t v = 1; v < col_start_.size(); ++v) {
-    col_start_[v] += col_start_[v - 1];
-  }
-  col_entries_.resize(static_cast<size_t>(col_start_.back()));
-  std::vector<int> fill(col_start_.begin(), col_start_.end() - 1);
-  for (int r = 0; r < model_.num_rows(); ++r) {
-    for (const LpTerm& t : model_.row(r).terms) {
-      col_entries_[static_cast<size_t>(fill[static_cast<size_t>(t.var)]++)] = LpTerm{r, t.coeff};
     }
   }
 }
@@ -125,12 +109,13 @@ bool MilpSolver::GreedyRound(const std::vector<double>& relaxed, std::vector<dou
     if (delta <= 0.0) {
       continue;
     }
-    const LpTerm* const begin = col_entries_.data() + col_start_[static_cast<size_t>(v)];
-    const LpTerm* const end = col_entries_.data() + col_start_[static_cast<size_t>(v) + 1];
+    const int begin = columns_.start[static_cast<size_t>(v)];
+    const int end = columns_.start[static_cast<size_t>(v) + 1];
     bool fits = true;
-    for (const LpTerm* t = begin; t != end; ++t) {
-      if (activity[static_cast<size_t>(t->var)] + t->coeff * delta >
-          model_.row(t->var).rhs + 1e-9) {
+    for (int k = begin; k < end; ++k) {
+      const int r = columns_.row[static_cast<size_t>(k)];
+      if (activity[static_cast<size_t>(r)] + columns_.val[static_cast<size_t>(k)] * delta >
+          model_.row(r).rhs + 1e-9) {
         fits = false;
         break;
       }
@@ -139,8 +124,9 @@ bool MilpSolver::GreedyRound(const std::vector<double>& relaxed, std::vector<dou
       continue;
     }
     x[v] = target;
-    for (const LpTerm* t = begin; t != end; ++t) {
-      activity[static_cast<size_t>(t->var)] += t->coeff * delta;
+    for (int k = begin; k < end; ++k) {
+      activity[static_cast<size_t>(columns_.row[static_cast<size_t>(k)])] +=
+          columns_.val[static_cast<size_t>(k)] * delta;
     }
   }
   if (!model_.IsFeasible(x)) {
@@ -170,8 +156,10 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
   MilpSolution result;
 
   // Working copy whose bounds are set along each node's tree path, then
-  // restored.
+  // restored, and the one simplex workspace every node LP runs on (its rows
+  // are model_'s, so it reads the solver's column index).
   LpModel work(model_);
+  SimplexWorkspace workspace(work, columns_);
 
   // Install the warm start as the initial incumbent if it is valid.
   bool have_incumbent = false;
@@ -275,7 +263,7 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
         // pricing skips them.
         lp_options.presolve = false;
       }
-      const LpSolution relax = SolveLp(work, lp_options);
+      LpSolution relax = workspace.Solve(lp_options);
       for (const BoundFix& fix : node.fixes) {
         work.SetVariableBounds(fix.var, model_.lower(fix.var), model_.upper(fix.var));
       }
@@ -349,7 +337,7 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
       // children share this node's optimal basis as their warm start.
       std::shared_ptr<const LpBasis> child_basis;
       if (options.basis_warmstart && !relax.basis.empty()) {
-        child_basis = std::make_shared<const LpBasis>(relax.basis);
+        child_basis = std::make_shared<const LpBasis>(std::move(relax.basis));
       }
       const double value = relax.values[branch_var];
       const double floor_v = std::floor(value);

@@ -19,6 +19,14 @@
 // solver, so a call costs O(nnz + k log k) for k raisable variables and
 // allocates nothing per variable.
 //
+// Node LPs: the same column index (simplex layout, rows ascending) serves
+// every node LP. Each Solve runs all its node LPs, the root included, on one
+// SimplexWorkspace over a working copy of the model whose rows never change;
+// a node only moves bounds, and the workspace keeps its buffers from node to
+// node. Nodes with a parent basis solve in the full space; a node without
+// one (a root with no hint, or basis_warmstart off) is presolved, and its
+// reduced model gets a one-shot workspace of its own.
+//
 // Node selection: the tree is explored depth-first in batches. Each batch
 // pops up to 16 nodes off the subproblem stack and drops those whose parent
 // LP bound cannot beat the incumbent as of the batch start; the rest are
@@ -138,11 +146,9 @@ class MilpSolver {
 
   const LpModel& model_;
   std::vector<int> integer_vars_;
-  // The constraint matrix by column: column v is
-  // col_entries_[col_start_[v], col_start_[v + 1]), rows ascending, each
-  // entry's `var` holding the row index.
-  std::vector<int> col_start_;
-  std::vector<LpTerm> col_entries_;
+  // The constraint matrix by column, rows ascending: read by GreedyRound and
+  // by every node LP.
+  LpColumnIndex columns_;
   // Greedy rounding handles only models whose rows are all <=.
   bool all_rows_le_ = true;
   // GreedyRound's scratch, reused across calls.

@@ -18,40 +18,71 @@ constexpr double kPivotTol = 1e-9;
 // incrementally-updated basic values (reinversion recomputes them exactly).
 constexpr int kRefactorInterval = 64;
 
-// Internal solver state over the extended variable set:
+}  // namespace
+
+LpColumnIndex::LpColumnIndex(const LpModel& model) {
+  // Counting sort of the row-wise terms into columns; scanning rows in order
+  // leaves each column's entries in ascending row order.
+  const int n = model.num_variables();
+  start.assign(static_cast<size_t>(n) + 1, 0);
+  for (const LpRow& r : model.rows()) {
+    for (const LpTerm& t : r.terms) {
+      ++start[static_cast<size_t>(t.var) + 1];
+    }
+  }
+  for (int j = 0; j < n; ++j) {
+    start[static_cast<size_t>(j) + 1] += start[static_cast<size_t>(j)];
+  }
+  row.resize(static_cast<size_t>(start[static_cast<size_t>(n)]));
+  val.resize(row.size());
+  std::vector<int> fill(start.begin(), start.end() - 1);
+  for (int r = 0; r < model.num_rows(); ++r) {
+    for (const LpTerm& t : model.row(r).terms) {
+      const int k = fill[static_cast<size_t>(t.var)]++;
+      row[static_cast<size_t>(k)] = r;
+      val[static_cast<size_t>(k)] = t.coeff;
+    }
+  }
+}
+
+// Simplex state over the extended variable set:
 //   [0, n)            structural variables
 //   [n, n+m)          slack variables (one per row)
 //   [n+m, n+m+k)      Phase-1 artificials (cold starts only)
-class SimplexSolver {
+// Everything derived from the rows (right-hand sides, slack bounds) is set up
+// once; each Solve reloads the structural bounds and objective and resets the
+// per-solve state, so it starts from exactly the state a fresh engine would.
+class SimplexEngine {
  public:
-  SimplexSolver(const LpModel& model, const SimplexOptions& options)
-      : model_(model), options_(options), m_(model.num_rows()), n_(model.num_variables()) {}
+  SimplexEngine(const LpModel& model, const LpColumnIndex& columns);
 
-  LpSolution Solve();
+  // Solves the model in the full space (options.presolve is not consulted).
+  LpSolution Solve(const SimplexOptions& options);
 
  private:
-  // Model ingestion: CSC structural columns, extended bounds/objective for
-  // structural + slack variables, right-hand sides.
-  void BuildCore();
+  // Per-solve ingestion: structural bounds and objective from the model,
+  // artificials dropped, per-solve counters and the eta file reset.
+  void LoadModel();
   // Cold start: structural vars parked at their bound nearest zero, slack
   // basis where residuals fit, Phase-1 artificials where they do not.
   void ColdStart();
-  // Installs options_.start_basis (statuses over structural + slack vars)
+  // Installs options_->start_basis (statuses over structural + slack vars)
   // with repair; returns false when the basis is unusable outright.
   bool TryWarmStart();
 
   // --- Eta-file basis machinery -------------------------------------------
-  // Factorizes the basis given by `proposed` (any length), assigning pivot
-  // rows and rewriting basis_/status_/value_ for demoted or promoted
-  // variables. Strict mode TS_CHECKs instead of repairing (mid-run
-  // reinversions of a basis maintained by nonzero pivots must succeed).
-  bool FactorFromSet(std::vector<int> proposed, bool strict);
+  // Factorizes the basis given by proposed_ (any length; sorted in place),
+  // assigning pivot rows and rewriting basis_/status_/value_ for demoted or
+  // promoted variables. Strict mode fails instead of repairing and keeps the
+  // current eta file (mid-run reinversions of a basis maintained by nonzero
+  // pivots).
+  bool FactorProposed(bool strict);
   void ResetToSlackBasis();
   void Ftran(std::vector<double>* x);
   void Btran(std::vector<double>* y);
   void AppendEta(const std::vector<double>& column, int pivot_row);
   void RecomputeBasicValues();
-  void Refactorize();  // FactorFromSet(basis_, strict) + value recompute.
+  void Refactorize();  // FactorProposed(basis_, strict) + value recompute.
 
   // --- Iteration engines ---------------------------------------------------
   // Primal simplex on the current (phase-dependent) objective.
@@ -82,6 +113,13 @@ class SimplexSolver {
       fn(artificial_row_[j - n_ - m_], artificial_sign_[j - n_ - m_]);
     }
   }
+  // Nonbasic and not fixed: the columns pricing and ratio tests consider.
+  bool Movable(int j) const {
+    return status_[static_cast<size_t>(j)] != BasisStatus::kBasic &&
+           lower_[static_cast<size_t>(j)] != upper_[static_cast<size_t>(j)];
+  }
+  // d_j = c_j - yᵀa_j, accumulated over the column's rows in ascending order.
+  // A slack's unit column gives c_j - y_r (y_r * 1.0 is y_r exactly).
   double ReducedCost(int j, const std::vector<double>& y) const;
   void ComputeDuals(std::vector<double>* y);
   bool PrimalFeasible() const;
@@ -92,16 +130,16 @@ class SimplexSolver {
   LpSolution Finish(LpStatus status);
 
   const LpModel& model_;
-  SimplexOptions options_;
-  int m_;                  // rows
-  int n_;                  // structural vars
+  const SimplexOptions* options_ = nullptr;  // Set for the duration of Solve.
+  const int m_;            // rows
+  const int n_;            // structural vars
   int total_ = 0;          // structural + slack + artificial
   int num_artificials_ = 0;
 
-  // Compressed-sparse-column structural matrix.
-  std::vector<int> col_start_;
-  std::vector<int> col_row_;
-  std::vector<double> col_val_;
+  // Compressed-sparse-column structural matrix (borrowed LpColumnIndex).
+  const int* const col_start_;
+  const int* const col_row_;
+  const double* const col_val_;
 
   std::vector<double> lower_, upper_, obj_;        // extended, length total_
   std::vector<double> rhs_;                        // row right-hand sides
@@ -123,10 +161,28 @@ class SimplexSolver {
   std::vector<int> eta_rows_;
   std::vector<double> eta_vals_;
 
-  // Scratch (allocated once in BuildCore).
+  // Scratch, sized once and reused by every solve.
   std::vector<double> y_, alpha_, rho_, work_;
+  std::vector<double> row_alpha_;  // The dual ratio test's rho·a_j by column.
   std::vector<int> cand_;  // Partial-pricing candidate list (indices only —
                            // reduced costs are always re-priced fresh).
+  struct Scored {
+    double score;
+    int j;
+  };
+  std::vector<Scored> scored_;     // RebuildCandidates' favourable columns.
+  std::vector<double> saved_obj_;  // The real objective during Phase 1.
+  // FactorProposed's buffers: the proposed basic set, the eta file kept for
+  // a strict-mode back-out, and per-row/per-variable marks.
+  std::vector<int> proposed_;
+  std::vector<Eta> saved_etas_;
+  std::vector<int> saved_eta_rows_;
+  std::vector<double> saved_eta_vals_;
+  std::vector<char> row_pivoted_;
+  std::vector<char> used_;
+  std::vector<int> new_basis_;
+  std::vector<double> factor_col_;
+  std::vector<int> demoted_;
 
   LpStats stats_;
   int iterations_ = 0;
@@ -135,53 +191,37 @@ class SimplexSolver {
   int pivots_since_refactor_ = 0;
 };
 
-double SimplexSolver::ReducedCost(int j, const std::vector<double>& y) const {
-  double d = obj_[j];
-  ForEachColumnEntry(j, [&](int r, double v) { d -= y[r] * v; });
+double SimplexEngine::ReducedCost(int j, const std::vector<double>& y) const {
+  double d = obj_[static_cast<size_t>(j)];
+  if (j < n_) {
+    for (int k = col_start_[j]; k < col_start_[j + 1]; ++k) {
+      d -= y[static_cast<size_t>(col_row_[k])] * col_val_[k];
+    }
+  } else if (j < n_ + m_) {
+    d -= y[static_cast<size_t>(j - n_)];
+  } else {
+    d -= y[static_cast<size_t>(artificial_row_[static_cast<size_t>(j - n_ - m_)])] *
+         artificial_sign_[static_cast<size_t>(j - n_ - m_)];
+  }
   return d;
 }
 
-void SimplexSolver::BuildCore() {
-  // CSC structural columns.
-  col_start_.assign(static_cast<size_t>(n_) + 1, 0);
-  for (int r = 0; r < m_; ++r) {
-    for (const LpTerm& t : model_.row(r).terms) {
-      ++col_start_[static_cast<size_t>(t.var) + 1];
-    }
-  }
-  for (int j = 0; j < n_; ++j) {
-    col_start_[static_cast<size_t>(j) + 1] += col_start_[static_cast<size_t>(j)];
-  }
-  col_row_.resize(static_cast<size_t>(col_start_[static_cast<size_t>(n_)]));
-  col_val_.resize(col_row_.size());
-  {
-    std::vector<int> fill(col_start_.begin(), col_start_.end() - 1);
-    for (int r = 0; r < m_; ++r) {
-      for (const LpTerm& t : model_.row(r).terms) {
-        const int k = fill[static_cast<size_t>(t.var)]++;
-        col_row_[static_cast<size_t>(k)] = r;
-        col_val_[static_cast<size_t>(k)] = t.coeff;
-      }
-    }
-  }
-
+SimplexEngine::SimplexEngine(const LpModel& model, const LpColumnIndex& columns)
+    : model_(model),
+      m_(model.num_rows()),
+      n_(model.num_variables()),
+      col_start_(columns.start.data()),
+      col_row_(columns.row.data()),
+      col_val_(columns.val.data()) {
+  TS_CHECK_EQ(static_cast<int>(columns.start.size()), n_ + 1);
   rhs_.resize(static_cast<size_t>(m_));
   for (int r = 0; r < m_; ++r) {
     rhs_[static_cast<size_t>(r)] = model_.row(r).rhs;
   }
-
+  // Slack variables: row sense becomes a bound on the slack. Nothing writes
+  // slack bounds afterwards, so they are set up once.
   lower_.assign(static_cast<size_t>(n_), 0.0);
   upper_.assign(static_cast<size_t>(n_), 0.0);
-  obj_.assign(static_cast<size_t>(n_), 0.0);
-  for (int j = 0; j < n_; ++j) {
-    lower_[static_cast<size_t>(j)] = model_.lower(j);
-    upper_[static_cast<size_t>(j)] = model_.upper(j);
-    obj_[static_cast<size_t>(j)] = model_.objective(j);
-    TS_CHECK_MSG(lower_[static_cast<size_t>(j)] > -kLpInfinity ||
-                     upper_[static_cast<size_t>(j)] < kLpInfinity,
-                 "variable " << j << " must have a finite bound");
-  }
-  // Slack variables: row sense becomes a bound on the slack.
   for (int r = 0; r < m_; ++r) {
     const RowSense sense = model_.row(r).sense;
     double lo = 0.0;
@@ -193,17 +233,42 @@ void SimplexSolver::BuildCore() {
     }
     lower_.push_back(lo);
     upper_.push_back(up);
-    obj_.push_back(0.0);
   }
-  total_ = n_ + m_;
-
   y_.resize(static_cast<size_t>(m_));
   alpha_.resize(static_cast<size_t>(m_));
   rho_.resize(static_cast<size_t>(m_));
   work_.resize(static_cast<size_t>(m_));
+  row_alpha_.resize(static_cast<size_t>(n_));
 }
 
-void SimplexSolver::Ftran(std::vector<double>* x) {
+void SimplexEngine::LoadModel() {
+  // Drop a previous solve's artificials; slack bounds stay as set up.
+  lower_.resize(static_cast<size_t>(n_ + m_));
+  upper_.resize(static_cast<size_t>(n_ + m_));
+  obj_.assign(static_cast<size_t>(n_ + m_), 0.0);
+  for (int j = 0; j < n_; ++j) {
+    lower_[static_cast<size_t>(j)] = model_.lower(j);
+    upper_[static_cast<size_t>(j)] = model_.upper(j);
+    obj_[static_cast<size_t>(j)] = model_.objective(j);
+    TS_CHECK_MSG(lower_[static_cast<size_t>(j)] > -kLpInfinity ||
+                     upper_[static_cast<size_t>(j)] < kLpInfinity,
+                 "variable " << j << " must have a finite bound");
+  }
+  total_ = n_ + m_;
+  num_artificials_ = 0;
+  artificial_row_.clear();
+  artificial_sign_.clear();
+  etas_.clear();
+  eta_rows_.clear();
+  eta_vals_.clear();
+  cand_.clear();
+  stats_ = LpStats{};
+  iterations_ = 0;
+  degenerate_streak_ = 0;
+  pivots_since_refactor_ = 0;
+}
+
+void SimplexEngine::Ftran(std::vector<double>* x) {
   ++stats_.ftran;
   for (const Eta& e : etas_) {
     double t = (*x)[static_cast<size_t>(e.pivot_row)];
@@ -219,7 +284,7 @@ void SimplexSolver::Ftran(std::vector<double>* x) {
   }
 }
 
-void SimplexSolver::Btran(std::vector<double>* y) {
+void SimplexEngine::Btran(std::vector<double>* y) {
   ++stats_.btran;
   for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
     double acc = (*y)[static_cast<size_t>(it->pivot_row)];
@@ -231,7 +296,7 @@ void SimplexSolver::Btran(std::vector<double>* y) {
   }
 }
 
-void SimplexSolver::AppendEta(const std::vector<double>& column, int pivot_row) {
+void SimplexEngine::AppendEta(const std::vector<double>& column, int pivot_row) {
   Eta e;
   e.pivot_row = pivot_row;
   e.pivot_value = column[static_cast<size_t>(pivot_row)];
@@ -244,10 +309,16 @@ void SimplexSolver::AppendEta(const std::vector<double>& column, int pivot_row) 
     }
   }
   e.end = static_cast<int>(eta_rows_.size());
+  if (e.pivot_value == 1.0 && e.end == e.begin) {
+    // An identity eta (a unit column pivoting on its own row: slacks in a
+    // reinversion) would apply x[p] /= 1.0, which leaves every double as it
+    // is, so it is not stored.
+    return;
+  }
   etas_.push_back(e);
 }
 
-void SimplexSolver::ParkNonbasic(int j, BasisStatus preferred) {
+void SimplexEngine::ParkNonbasic(int j, BasisStatus preferred) {
   // Rest at the preferred bound when finite, else the other one.
   if (preferred == BasisStatus::kAtLower && lower_[static_cast<size_t>(j)] > -kLpInfinity) {
     status_[static_cast<size_t>(j)] = BasisStatus::kAtLower;
@@ -261,23 +332,20 @@ void SimplexSolver::ParkNonbasic(int j, BasisStatus preferred) {
   }
 }
 
-bool SimplexSolver::FactorFromSet(std::vector<int> proposed, bool strict) {
+bool SimplexEngine::FactorProposed(bool strict) {
   ++stats_.refactorizations;
   // Strict mode must be able to back out: a numerically near-singular basis
   // (legal — pivot magnitudes are only bounded below by kPivotTol) fails
   // reinversion, and the run then simply keeps its current eta file.
-  std::vector<Eta> saved_etas;
-  std::vector<int> saved_rows;
-  std::vector<double> saved_vals;
   if (strict) {
-    saved_etas = std::move(etas_);
-    saved_rows = std::move(eta_rows_);
-    saved_vals = std::move(eta_vals_);
+    etas_.swap(saved_etas_);
+    eta_rows_.swap(saved_eta_rows_);
+    eta_vals_.swap(saved_eta_vals_);
   }
   const auto restore = [&]() {
-    etas_ = std::move(saved_etas);
-    eta_rows_ = std::move(saved_rows);
-    eta_vals_ = std::move(saved_vals);
+    etas_.swap(saved_etas_);
+    eta_rows_.swap(saved_eta_rows_);
+    eta_vals_.swap(saved_eta_vals_);
   };
   etas_.clear();
   eta_rows_.clear();
@@ -291,32 +359,32 @@ bool SimplexSolver::FactorFromSet(std::vector<int> proposed, bool strict) {
     return j < n_ ? col_start_[static_cast<size_t>(j) + 1] - col_start_[static_cast<size_t>(j)]
                   : 1;
   };
-  std::sort(proposed.begin(), proposed.end(),
+  std::sort(proposed_.begin(), proposed_.end(),
             [&](int a, int b) { return nnz(a) != nnz(b) ? nnz(a) < nnz(b) : a < b; });
 
-  std::vector<char> row_pivoted(static_cast<size_t>(m_), 0);
-  std::vector<char> used(static_cast<size_t>(total_), 0);
-  std::vector<int> new_basis(static_cast<size_t>(m_), -1);
-  std::vector<double> col(static_cast<size_t>(m_));
-  std::vector<int> demoted;
-  for (int j : proposed) {
-    if (used[static_cast<size_t>(j)]) {
+  row_pivoted_.assign(static_cast<size_t>(m_), 0);
+  used_.assign(static_cast<size_t>(total_), 0);
+  new_basis_.assign(static_cast<size_t>(m_), -1);
+  factor_col_.resize(static_cast<size_t>(m_));
+  demoted_.clear();
+  for (int j : proposed_) {
+    if (used_[static_cast<size_t>(j)]) {
       if (strict) {
         restore();
         return false;
       }
-      demoted.push_back(j);
+      demoted_.push_back(j);
       continue;
     }
-    std::fill(col.begin(), col.end(), 0.0);
-    ForEachColumnEntry(j, [&](int r, double v) { col[static_cast<size_t>(r)] = v; });
-    Ftran(&col);
+    std::fill(factor_col_.begin(), factor_col_.end(), 0.0);
+    ForEachColumnEntry(j, [&](int r, double v) { factor_col_[static_cast<size_t>(r)] = v; });
+    Ftran(&factor_col_);
     int pivot = -1;
     double best = 1e-10;
     for (int r = 0; r < m_; ++r) {
-      if (!row_pivoted[static_cast<size_t>(r)] &&
-          std::fabs(col[static_cast<size_t>(r)]) > best) {
-        best = std::fabs(col[static_cast<size_t>(r)]);
+      if (!row_pivoted_[static_cast<size_t>(r)] &&
+          std::fabs(factor_col_[static_cast<size_t>(r)]) > best) {
+        best = std::fabs(factor_col_[static_cast<size_t>(r)]);
         pivot = r;
       }
     }
@@ -325,19 +393,19 @@ bool SimplexSolver::FactorFromSet(std::vector<int> proposed, bool strict) {
         restore();
         return false;
       }
-      demoted.push_back(j);
+      demoted_.push_back(j);
       continue;
     }
-    AppendEta(col, pivot);
-    row_pivoted[static_cast<size_t>(pivot)] = 1;
-    new_basis[static_cast<size_t>(pivot)] = j;
-    used[static_cast<size_t>(j)] = 1;
+    AppendEta(factor_col_, pivot);
+    row_pivoted_[static_cast<size_t>(pivot)] = 1;
+    new_basis_[static_cast<size_t>(pivot)] = j;
+    used_[static_cast<size_t>(j)] = 1;
   }
   // Complete any unpivoted rows with their own slack (always independent of
   // the already-pivoted set unless numerically degenerate — then give up and
   // let the caller reset to the identity slack basis).
   for (int r = 0; r < m_; ++r) {
-    if (row_pivoted[static_cast<size_t>(r)]) {
+    if (row_pivoted_[static_cast<size_t>(r)]) {
       continue;
     }
     if (strict) {
@@ -345,33 +413,33 @@ bool SimplexSolver::FactorFromSet(std::vector<int> proposed, bool strict) {
       return false;
     }
     const int sv = n_ + r;
-    if (used[static_cast<size_t>(sv)]) {
+    if (used_[static_cast<size_t>(sv)]) {
       return false;
     }
-    std::fill(col.begin(), col.end(), 0.0);
-    col[static_cast<size_t>(r)] = 1.0;
-    Ftran(&col);
-    if (std::fabs(col[static_cast<size_t>(r)]) <= 1e-10) {
+    std::fill(factor_col_.begin(), factor_col_.end(), 0.0);
+    factor_col_[static_cast<size_t>(r)] = 1.0;
+    Ftran(&factor_col_);
+    if (std::fabs(factor_col_[static_cast<size_t>(r)]) <= 1e-10) {
       return false;
     }
-    AppendEta(col, r);
-    row_pivoted[static_cast<size_t>(r)] = 1;
-    new_basis[static_cast<size_t>(r)] = sv;
-    used[static_cast<size_t>(sv)] = 1;
+    AppendEta(factor_col_, r);
+    row_pivoted_[static_cast<size_t>(r)] = 1;
+    new_basis_[static_cast<size_t>(r)] = sv;
+    used_[static_cast<size_t>(sv)] = 1;
   }
-  for (int j : demoted) {
-    if (!used[static_cast<size_t>(j)]) {
+  for (int j : demoted_) {
+    if (!used_[static_cast<size_t>(j)]) {
       ParkNonbasic(j, BasisStatus::kAtLower);
     }
   }
-  basis_ = std::move(new_basis);
+  basis_.swap(new_basis_);
   for (int r = 0; r < m_; ++r) {
     status_[static_cast<size_t>(basis_[static_cast<size_t>(r)])] = BasisStatus::kBasic;
   }
   return true;
 }
 
-void SimplexSolver::ResetToSlackBasis() {
+void SimplexEngine::ResetToSlackBasis() {
   etas_.clear();
   eta_rows_.clear();
   eta_vals_.clear();
@@ -388,16 +456,17 @@ void SimplexSolver::ResetToSlackBasis() {
   }
 }
 
-void SimplexSolver::Refactorize() {
+void SimplexEngine::Refactorize() {
   // Opportunistic: if the basis is too ill-conditioned to reinvert, keep the
   // existing (restored) eta file and try again after the next interval. The
   // eta file is always a valid representation — reinversion only compacts it.
-  if (FactorFromSet(basis_, /*strict=*/true)) {
+  proposed_ = basis_;
+  if (FactorProposed(/*strict=*/true)) {
     RecomputeBasicValues();
   }
 }
 
-void SimplexSolver::RecomputeBasicValues() {
+void SimplexEngine::RecomputeBasicValues() {
   // w = b - A_N x_N, then x_B = B⁻¹ w via FTRAN.
   work_ = rhs_;
   for (int j = 0; j < total_; ++j) {
@@ -414,26 +483,26 @@ void SimplexSolver::RecomputeBasicValues() {
   }
 }
 
-void SimplexSolver::ComputeDuals(std::vector<double>* y) {
+void SimplexEngine::ComputeDuals(std::vector<double>* y) {
   for (int r = 0; r < m_; ++r) {
     (*y)[static_cast<size_t>(r)] = obj_[static_cast<size_t>(basis_[static_cast<size_t>(r)])];
   }
   Btran(y);
 }
 
-bool SimplexSolver::PrimalFeasible() const {
+bool SimplexEngine::PrimalFeasible() const {
   for (int r = 0; r < m_; ++r) {
     const int bv = basis_[static_cast<size_t>(r)];
     const double v = value_[static_cast<size_t>(bv)];
-    if (v < lower_[static_cast<size_t>(bv)] - options_.feasibility_tol ||
-        v > upper_[static_cast<size_t>(bv)] + options_.feasibility_tol) {
+    if (v < lower_[static_cast<size_t>(bv)] - options_->feasibility_tol ||
+        v > upper_[static_cast<size_t>(bv)] + options_->feasibility_tol) {
       return false;
     }
   }
   return true;
 }
 
-bool SimplexSolver::MakeDualFeasible(const std::vector<double>& y) {
+bool SimplexEngine::MakeDualFeasible(const std::vector<double>& y) {
   for (int j = 0; j < total_; ++j) {
     if (status_[static_cast<size_t>(j)] == BasisStatus::kBasic ||
         lower_[static_cast<size_t>(j)] == upper_[static_cast<size_t>(j)]) {
@@ -441,14 +510,14 @@ bool SimplexSolver::MakeDualFeasible(const std::vector<double>& y) {
     }
     const double d = ReducedCost(j, y);
     if (status_[static_cast<size_t>(j)] == BasisStatus::kAtLower &&
-        d > options_.optimality_tol) {
+        d > options_->optimality_tol) {
       if (upper_[static_cast<size_t>(j)] >= kLpInfinity) {
         return false;
       }
       status_[static_cast<size_t>(j)] = BasisStatus::kAtUpper;
       value_[static_cast<size_t>(j)] = upper_[static_cast<size_t>(j)];
     } else if (status_[static_cast<size_t>(j)] == BasisStatus::kAtUpper &&
-               d < -options_.optimality_tol) {
+               d < -options_->optimality_tol) {
       if (lower_[static_cast<size_t>(j)] <= -kLpInfinity) {
         return false;
       }
@@ -459,7 +528,8 @@ bool SimplexSolver::MakeDualFeasible(const std::vector<double>& y) {
   return true;
 }
 
-void SimplexSolver::ColdStart() {
+void SimplexEngine::ColdStart() {
+  stats_.cold_start = true;
   // Discard any artificials and warm-start state from a failed install.
   lower_.resize(static_cast<size_t>(n_ + m_));
   upper_.resize(static_cast<size_t>(n_ + m_));
@@ -477,8 +547,10 @@ void SimplexSolver::ColdStart() {
     ParkNonbasic(j, BasisStatus::kAtLower);
   }
 
-  // Residual of each row with all structural vars at their initial bound.
-  std::vector<double> residual = rhs_;
+  // Residual of each row with all structural vars at their initial bound
+  // (in work_, which Refactorize below overwrites).
+  std::vector<double>& residual = work_;
+  residual = rhs_;
   for (int j = 0; j < n_; ++j) {
     const double xj = value_[static_cast<size_t>(j)];
     if (xj != 0.0) {
@@ -494,8 +566,8 @@ void SimplexSolver::ColdStart() {
   for (int r = 0; r < m_; ++r) {
     const int sv = n_ + r;
     const double res = residual[static_cast<size_t>(r)];
-    if (res >= lower_[static_cast<size_t>(sv)] - options_.feasibility_tol &&
-        res <= upper_[static_cast<size_t>(sv)] + options_.feasibility_tol) {
+    if (res >= lower_[static_cast<size_t>(sv)] - options_->feasibility_tol &&
+        res <= upper_[static_cast<size_t>(sv)] + options_->feasibility_tol) {
       basis_[static_cast<size_t>(r)] = sv;
       status_[static_cast<size_t>(sv)] = BasisStatus::kBasic;
       value_[static_cast<size_t>(sv)] = res;
@@ -524,8 +596,8 @@ void SimplexSolver::ColdStart() {
   Refactorize();
 }
 
-bool SimplexSolver::TryWarmStart() {
-  const LpBasis& b = options_.start_basis;
+bool SimplexEngine::TryWarmStart() {
+  const LpBasis& b = options_->start_basis;
   if (static_cast<int>(b.status.size()) != n_ + m_) {
     return false;  // Different model shape; the hint is meaningless.
   }
@@ -533,13 +605,12 @@ bool SimplexSolver::TryWarmStart() {
   num_artificials_ = 0;
   status_.assign(static_cast<size_t>(total_), BasisStatus::kAtLower);
   value_.assign(static_cast<size_t>(total_), 0.0);
-  std::vector<int> proposed;
-  proposed.reserve(static_cast<size_t>(m_));
+  proposed_.clear();
   for (int j = 0; j < total_; ++j) {
     const BasisStatus s = b.status[static_cast<size_t>(j)];
     if (s == BasisStatus::kBasic) {
       status_[static_cast<size_t>(j)] = BasisStatus::kBasic;
-      proposed.push_back(j);
+      proposed_.push_back(j);
     } else {
       // Statuses are symbolic, so "at lower" snaps to the *current* bound —
       // which is how a parent basis stays valid after branching tightens the
@@ -548,7 +619,7 @@ bool SimplexSolver::TryWarmStart() {
     }
   }
   basis_.assign(static_cast<size_t>(m_), -1);
-  if (!FactorFromSet(std::move(proposed), /*strict=*/false)) {
+  if (!FactorProposed(/*strict=*/false)) {
     ResetToSlackBasis();
   }
   RecomputeBasicValues();
@@ -561,45 +632,64 @@ bool SimplexSolver::TryWarmStart() {
 // Pricing
 // ---------------------------------------------------------------------------
 
-void SimplexSolver::RebuildCandidates(const std::vector<double>& y) {
-  struct Scored {
-    double score;
-    int j;
+void SimplexEngine::RebuildCandidates(const std::vector<double>& y) {
+  const double tol = options_->optimality_tol;
+  scored_.clear();
+  const auto consider = [&](int j, double d) {
+    const bool favorable =
+        (status_[static_cast<size_t>(j)] == BasisStatus::kAtLower && d > tol) ||
+        (status_[static_cast<size_t>(j)] == BasisStatus::kAtUpper && d < -tol);
+    if (favorable) {
+      scored_.push_back(Scored{std::fabs(d), j});
+    }
   };
-  std::vector<Scored> scored;
-  for (int j = 0; j < total_; ++j) {
-    if (status_[static_cast<size_t>(j)] == BasisStatus::kBasic ||
-        lower_[static_cast<size_t>(j)] == upper_[static_cast<size_t>(j)]) {
+  // Reduced costs straight off the CSC arrays (structural columns), then the
+  // unit slack columns, then any artificials; same sums as ReducedCost.
+  const double* const yv = y.data();
+  for (int j = 0; j < n_; ++j) {
+    if (!Movable(j)) {
       continue;
     }
-    const double d = ReducedCost(j, y);
-    const bool favorable =
-        (status_[static_cast<size_t>(j)] == BasisStatus::kAtLower &&
-         d > options_.optimality_tol) ||
-        (status_[static_cast<size_t>(j)] == BasisStatus::kAtUpper &&
-         d < -options_.optimality_tol);
-    if (favorable) {
-      scored.push_back(Scored{std::fabs(d), j});
+    double d = obj_[static_cast<size_t>(j)];
+    for (int k = col_start_[j]; k < col_start_[j + 1]; ++k) {
+      d -= yv[col_row_[k]] * col_val_[k];
+    }
+    consider(j, d);
+  }
+  for (int r = 0; r < m_; ++r) {
+    const int j = n_ + r;
+    if (Movable(j)) {
+      consider(j, obj_[static_cast<size_t>(j)] - yv[r]);
     }
   }
-  std::sort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {
-    return a.score != b.score ? a.score > b.score : a.j < b.j;
-  });
-  const size_t cap = static_cast<size_t>(
-      std::clamp(total_ / 8, 8, 64));
-  if (scored.size() > cap) {
-    scored.resize(cap);
+  for (int j = n_ + m_; j < total_; ++j) {
+    if (Movable(j)) {
+      consider(j, ReducedCost(j, y));
+    }
   }
+  // Keep the best `cap` under (score desc, index asc) — a strict total order,
+  // so selecting them first and sorting only those gives the same list as
+  // sorting everything.
+  const auto better = [](const Scored& a, const Scored& b) {
+    return a.score != b.score ? a.score > b.score : a.j < b.j;
+  };
+  const size_t cap = static_cast<size_t>(std::clamp(total_ / 8, 8, 64));
+  if (scored_.size() > cap) {
+    std::nth_element(scored_.begin(), scored_.begin() + static_cast<std::ptrdiff_t>(cap),
+                     scored_.end(), better);
+    scored_.resize(cap);
+  }
+  std::sort(scored_.begin(), scored_.end(), better);
   cand_.clear();
-  for (const Scored& s : scored) {
-    cand_.push_back(s.j);
+  for (const Scored& sc : scored_) {
+    cand_.push_back(sc.j);
   }
 }
 
-int SimplexSolver::PriceList(const std::vector<double>& y, int* direction) {
+int SimplexEngine::PriceList(const std::vector<double>& y, int* direction) {
   int pick = -1;
   int dir = +1;
-  double best = options_.optimality_tol;
+  double best = options_->optimality_tol;
   size_t keep = 0;
   for (const int j : cand_) {
     if (status_[static_cast<size_t>(j)] == BasisStatus::kBasic ||
@@ -609,10 +699,10 @@ int SimplexSolver::PriceList(const std::vector<double>& y, int* direction) {
     const double d = ReducedCost(j, y);
     int dj = 0;
     if (status_[static_cast<size_t>(j)] == BasisStatus::kAtLower &&
-        d > options_.optimality_tol) {
+        d > options_->optimality_tol) {
       dj = +1;
     } else if (status_[static_cast<size_t>(j)] == BasisStatus::kAtUpper &&
-               d < -options_.optimality_tol) {
+               d < -options_->optimality_tol) {
       dj = -1;
     }
     if (dj == 0) {
@@ -632,7 +722,7 @@ int SimplexSolver::PriceList(const std::vector<double>& y, int* direction) {
   return pick;
 }
 
-int SimplexSolver::PickEntering(const std::vector<double>& y, int* direction) {
+int SimplexEngine::PickEntering(const std::vector<double>& y, int* direction) {
   const int from_list = PriceList(y, direction);
   if (from_list >= 0) {
     return from_list;
@@ -648,7 +738,7 @@ int SimplexSolver::PickEntering(const std::vector<double>& y, int* direction) {
 // Primal simplex
 // ---------------------------------------------------------------------------
 
-LpStatus SimplexSolver::RunPrimal(bool phase1) {
+LpStatus SimplexEngine::RunPrimal(bool phase1) {
   while (true) {
     if (iterations_ >= max_iterations_) {
       return LpStatus::kIterationLimit;
@@ -668,11 +758,11 @@ LpStatus SimplexSolver::RunPrimal(bool phase1) {
         }
         const double d = ReducedCost(j, y_);
         if (status_[static_cast<size_t>(j)] == BasisStatus::kAtLower &&
-            d > options_.optimality_tol) {
+            d > options_->optimality_tol) {
           entering = j;
           direction = +1;
         } else if (status_[static_cast<size_t>(j)] == BasisStatus::kAtUpper &&
-                   d < -options_.optimality_tol) {
+                   d < -options_->optimality_tol) {
           entering = j;
           direction = -1;
         }
@@ -806,7 +896,7 @@ LpStatus SimplexSolver::RunPrimal(bool phase1) {
 // Dual simplex
 // ---------------------------------------------------------------------------
 
-LpStatus SimplexSolver::RunDual() {
+LpStatus SimplexEngine::RunDual() {
   // Safety cap: a dual re-optimization that has not converged in O(m) pivots
   // is degenerate or numerically stuck; the caller cold-starts instead (same
   // answer, just slower), so giving up is always safe.
@@ -823,7 +913,7 @@ LpStatus SimplexSolver::RunDual() {
     // Leaving row: the basic variable with the largest bound violation
     // (tie-break: smallest row index — deterministic).
     int lrow = -1;
-    double viol = options_.feasibility_tol;
+    double viol = options_->feasibility_tol;
     bool below = false;
     for (int r = 0; r < m_; ++r) {
       const int bv = basis_[static_cast<size_t>(r)];
@@ -859,15 +949,9 @@ LpStatus SimplexSolver::RunDual() {
     int entering = -1;
     double best_ratio = std::numeric_limits<double>::infinity();
     double best_mag = 0.0;
-    for (int j = 0; j < total_; ++j) {
-      if (status_[static_cast<size_t>(j)] == BasisStatus::kBasic ||
-          lower_[static_cast<size_t>(j)] == upper_[static_cast<size_t>(j)]) {
-        continue;
-      }
-      double arj = 0.0;
-      ForEachColumnEntry(j, [&](int r, double v) { arj += rho_[static_cast<size_t>(r)] * v; });
+    const auto consider = [&](int j, double arj) {
       if (std::fabs(arj) <= kPivotTol) {
-        continue;
+        return;
       }
       const bool at_lower = status_[static_cast<size_t>(j)] == BasisStatus::kAtLower;
       // x_basic changes by -alpha_r * dx_j; the violated variable must move
@@ -875,7 +959,7 @@ LpStatus SimplexSolver::RunDual() {
       const bool eligible = below ? (at_lower ? arj < 0.0 : arj > 0.0)
                                   : (at_lower ? arj > 0.0 : arj < 0.0);
       if (!eligible) {
-        continue;
+        return;
       }
       const double d = ReducedCost(j, y_);
       const double slack = std::max(0.0, at_lower ? -d : d);  // Dual headroom.
@@ -889,6 +973,41 @@ LpStatus SimplexSolver::RunDual() {
         entering = j;
         best_ratio = ratio;
         best_mag = std::fabs(arj);
+      }
+    };
+    // alpha_rj = rho·a_j, accumulated row by row over the rows where rho is
+    // nonzero, in ascending row order: per column that is the column-order
+    // sum minus its zero terms, which can change only the sign of a zero
+    // alpha_rj (skipped either way). Then the columns in ascending j:
+    // structural, then each slack's unit column (alpha_rj = rho_r), then any
+    // artificials.
+    const double* const rho = rho_.data();
+    double* const arow = row_alpha_.data();
+    std::fill(row_alpha_.begin(), row_alpha_.end(), 0.0);
+    for (int r = 0; r < m_; ++r) {
+      const double rr = rho[r];
+      if (rr == 0.0) {
+        continue;
+      }
+      for (const LpTerm& t : model_.row(r).terms) {
+        arow[t.var] += rr * t.coeff;
+      }
+    }
+    for (int j = 0; j < n_; ++j) {
+      if (Movable(j)) {
+        consider(j, arow[j]);
+      }
+    }
+    for (int r = 0; r < m_; ++r) {
+      if (Movable(n_ + r)) {
+        consider(n_ + r, rho[r]);
+      }
+    }
+    for (int j = n_ + m_; j < total_; ++j) {
+      if (Movable(j)) {
+        double arj = 0.0;
+        ForEachColumnEntry(j, [&](int r, double v) { arj += rho[r] * v; });
+        consider(j, arj);
       }
     }
     if (entering < 0) {
@@ -937,7 +1056,7 @@ LpStatus SimplexSolver::RunDual() {
 // Driver
 // ---------------------------------------------------------------------------
 
-LpSolution SimplexSolver::Finish(LpStatus status) {
+LpSolution SimplexEngine::Finish(LpStatus status) {
   LpSolution result;
   result.status = status;
   result.iterations = iterations_;
@@ -959,7 +1078,8 @@ LpSolution SimplexSolver::Finish(LpStatus status) {
   return result;
 }
 
-LpSolution SimplexSolver::Solve() {
+LpSolution SimplexEngine::Solve(const SimplexOptions& options) {
+  options_ = &options;
   LpSolution result;
   if (m_ == 0) {
     // Pure bound problem: each variable sits at whichever bound its objective
@@ -991,8 +1111,8 @@ LpSolution SimplexSolver::Solve() {
     return result;
   }
 
-  BuildCore();
-  max_iterations_ = options_.max_iterations > 0 ? options_.max_iterations
+  LoadModel();
+  max_iterations_ = options_->max_iterations > 0 ? options_->max_iterations
                                                 : 200 * (n_ + 2 * m_) + 2000;
 
   // Warm path: install the hint; if it lands primal feasible Phase 1 is
@@ -1000,7 +1120,7 @@ LpSolution SimplexSolver::Solve() {
   // in a few pivots (the branch-and-bound child case). Anything else falls
   // through to a cold start — a warm start can change the pivot count, never
   // the answer.
-  if (!options_.start_basis.empty() && TryWarmStart()) {
+  if (!options_->start_basis.empty() && TryWarmStart()) {
     stats_.warm_basis_used = true;
     if (PrimalFeasible()) {
       return Finish(RunPrimal(/*phase1=*/false));
@@ -1028,7 +1148,7 @@ LpSolution SimplexSolver::Solve() {
   ColdStart();
   if (num_artificials_ > 0) {
     // Phase 1: drive artificial infeasibility to zero (max -sum(artificials)).
-    std::vector<double> real_obj = obj_;
+    saved_obj_ = obj_;
     for (int j = 0; j < total_; ++j) {
       obj_[static_cast<size_t>(j)] = j >= n_ + m_ ? -1.0 : 0.0;
     }
@@ -1058,64 +1178,25 @@ LpSolution SimplexSolver::Solve() {
         value_[static_cast<size_t>(j)] = 0.0;
       }
     }
-    obj_ = real_obj;
+    obj_.swap(saved_obj_);
     degenerate_streak_ = 0;
     cand_.clear();
   }
   return Finish(RunPrimal(/*phase1=*/false));
 }
 
-}  // namespace
-
 namespace {
 
-LpSolution SolveLpImpl(const LpModel& model, const SimplexOptions& options) {
-  if (options.presolve) {
-    PresolveResult pre = Presolve(model);
-    if (pre.proven_infeasible) {
-      LpSolution result;
-      result.status = LpStatus::kInfeasible;
-      return result;
-    }
-    if (!pre.proven_unbounded) {
-      SimplexOptions reduced_options = options;
-      reduced_options.presolve = false;
-      // A start basis rides through the reductions (statuses of surviving
-      // variables and rows); the simplex repairs whatever the eliminations
-      // knocked out of the basic set.
-      if (!options.start_basis.empty()) {
-        reduced_options.start_basis =
-            pre.MapBasisToReduced(options.start_basis, model.num_variables(),
-                                  model.num_rows());
-      }
-      SimplexSolver solver(pre.reduced, reduced_options);
-      LpSolution reduced = solver.Solve();
-      if (reduced.status == LpStatus::kOptimal ||
-          reduced.status == LpStatus::kIterationLimit) {
-        reduced.values = pre.ExpandSolution(reduced.values);
-        reduced.objective = model.ObjectiveValue(reduced.values);
-        reduced.basis =
-            pre.MapBasisToFull(reduced.basis, model.num_variables(), model.num_rows());
-      }
-      return reduced;
-    }
-    // A row-free variable with an unbounded preferred direction: the model is
-    // unbounded iff the rest is feasible — let the full simplex decide.
-  }
-  SimplexSolver solver(model, options);
-  return solver.Solve();
-}
-
-}  // namespace
-
-LpSolution SolveLp(const LpModel& model, const SimplexOptions& options) {
-  LpSolution result = SolveLpImpl(model, options);
-  // LP work counters. SolveLp runs on solver worker threads too, so this uses
-  // only striped registry adds — never spans (span rings are driver-thread
-  // state; worker emission would make trace export thread-count-dependent).
+// LP work counters, recorded once per LP solve. Only striped registry adds —
+// never spans (span rings are driver-thread state; emission from a worker
+// thread would make trace export thread-count-dependent).
+void RecordLpCounters(const LpSolution& result) {
   struct LpCounters {
     obs::Counter* solves;
     obs::Counter* pivots;
+    obs::Counter* primal_pivots;
+    obs::Counter* dual_pivots;
+    obs::Counter* cold_starts;
     obs::Counter* ftran;
     obs::Counter* btran;
     obs::Counter* refactorizations;
@@ -1127,6 +1208,9 @@ LpSolution SolveLp(const LpModel& model, const SimplexOptions& options) {
     auto* c = new LpCounters();
     c->solves = reg.GetCounter("solver.lp_solves");
     c->pivots = reg.GetCounter("solver.lp_pivots");
+    c->primal_pivots = reg.GetCounter("solver.lp_primal_pivots");
+    c->dual_pivots = reg.GetCounter("solver.lp_dual_pivots");
+    c->cold_starts = reg.GetCounter("solver.lp_cold_starts");
     c->ftran = reg.GetCounter("solver.ftran");
     c->btran = reg.GetCounter("solver.btran");
     c->refactorizations = reg.GetCounter("solver.refactorizations");
@@ -1138,6 +1222,12 @@ LpSolution SolveLp(const LpModel& model, const SimplexOptions& options) {
   }();
   counters->solves->Increment();
   counters->pivots->Add(result.iterations);
+  counters->primal_pivots->Add(result.stats.phase1_iterations +
+                               result.stats.phase2_iterations);
+  counters->dual_pivots->Add(result.stats.dual_iterations);
+  if (result.stats.cold_start) {
+    counters->cold_starts->Increment();
+  }
   counters->ftran->Add(result.stats.ftran);
   counters->btran->Add(result.stats.btran);
   counters->refactorizations->Add(result.stats.refactorizations);
@@ -1145,7 +1235,62 @@ LpSolution SolveLp(const LpModel& model, const SimplexOptions& options) {
     counters->warm_basis_used->Increment();
   }
   counters->pivots_hist->Observe(static_cast<double>(result.iterations));
+}
+
+// Presolves `model`, solves the reduced model on a one-shot engine of its own
+// and maps the answer back; `full` (an engine over `model`) takes the model
+// when presolve cannot reduce it.
+LpSolution SolvePresolved(const LpModel& model, const SimplexOptions& options,
+                          SimplexEngine& full) {
+  PresolveResult pre = Presolve(model);
+  if (pre.proven_infeasible) {
+    LpSolution result;
+    result.status = LpStatus::kInfeasible;
+    return result;
+  }
+  if (pre.proven_unbounded) {
+    // A row-free variable with an unbounded preferred direction: the model is
+    // unbounded iff the rest is feasible — let the full simplex decide.
+    return full.Solve(options);
+  }
+  SimplexOptions reduced_options = options;
+  reduced_options.presolve = false;
+  // A start basis rides through the reductions (statuses of surviving
+  // variables and rows); the simplex repairs whatever the eliminations
+  // knocked out of the basic set.
+  if (!options.start_basis.empty()) {
+    reduced_options.start_basis =
+        pre.MapBasisToReduced(options.start_basis, model.num_variables(), model.num_rows());
+  }
+  const LpColumnIndex columns(pre.reduced);
+  SimplexEngine engine(pre.reduced, columns);
+  LpSolution reduced = engine.Solve(reduced_options);
+  if (reduced.status == LpStatus::kOptimal || reduced.status == LpStatus::kIterationLimit) {
+    reduced.values = pre.ExpandSolution(reduced.values);
+    reduced.objective = model.ObjectiveValue(reduced.values);
+    reduced.basis = pre.MapBasisToFull(reduced.basis, model.num_variables(), model.num_rows());
+  }
+  return reduced;
+}
+
+}  // namespace
+
+SimplexWorkspace::SimplexWorkspace(const LpModel& model, const LpColumnIndex& columns)
+    : model_(model), engine_(std::make_unique<SimplexEngine>(model, columns)) {}
+
+SimplexWorkspace::~SimplexWorkspace() = default;
+
+LpSolution SimplexWorkspace::Solve(const SimplexOptions& options) {
+  LpSolution result =
+      options.presolve ? SolvePresolved(model_, options, *engine_) : engine_->Solve(options);
+  RecordLpCounters(result);
   return result;
+}
+
+LpSolution SolveLp(const LpModel& model, const SimplexOptions& options) {
+  const LpColumnIndex columns(model);
+  SimplexWorkspace workspace(model, columns);
+  return workspace.Solve(options);
 }
 
 }  // namespace threesigma

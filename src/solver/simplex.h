@@ -8,8 +8,13 @@
 // variable touches one demand row plus a handful of expected-capacity rows —
 // and consecutive branch-and-bound nodes differ by a single bound change, so
 // the engine is built around that structure:
-//   - the constraint matrix is held in compressed-sparse-column form; every
-//     row gets a slack variable with bounds encoding its sense,
+//   - the constraint matrix is held in compressed-sparse-column form
+//     (LpColumnIndex, built once per MILP); every row gets a slack variable
+//     with bounds encoding its sense,
+//   - a SimplexWorkspace is built over one constraint matrix and solves any
+//     number of LPs that differ only in variable bounds and objective (the
+//     branch-and-bound node sequence), reusing every buffer; SolveLp is a
+//     one-shot workspace,
 //   - the basis inverse is a product-form eta file: reinversion triangularizes
 //     the basis column pattern (slack/singleton columns pivot first) and each
 //     simplex pivot appends one sparse eta, giving O(nnz) FTRAN/BTRAN instead
@@ -19,6 +24,10 @@
 //     cost scan harvests the best candidates, subsequent pivots re-price only
 //     the list until it runs dry; a Bland's-rule full scan takes over after a
 //     degeneracy streak to guarantee termination,
+//   - the two full-column scans are tight loops: the candidate-list rebuild
+//     prices straight off the CSC arrays and partially sorts only the best
+//     candidates; the dual ratio test accumulates the pivot row row by row
+//     over the rows where it is nonzero; reinversion stores no identity etas,
 //   - a basis (variable statuses over structural + slack variables) can be
 //     exported from a solved LP and imported as a starting point: a primal-
 //     feasible import skips Phase 1 outright, a dual-feasible import
@@ -29,12 +38,16 @@
 //
 // Determinism: every choice (pricing, ratio-test tie-breaks, reinversion
 // order, repair) is a pure function of the model and options — never of
-// wall clock or thread count.
+// wall clock, thread count, or what a reused workspace solved before. Every
+// floating-point value that feeds a choice is computed from the same operands
+// in the same order on every path; per column, sums run over rows in
+// ascending order.
 
 #ifndef SRC_SOLVER_SIMPLEX_H_
 #define SRC_SOLVER_SIMPLEX_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/solver/lp_model.h"
@@ -62,7 +75,7 @@ struct LpBasis {
   bool empty() const { return status.empty(); }
 };
 
-// Work counters for one SolveLp call (micro_solver reports these).
+// Work counters for one LP solve (micro_solver reports these).
 struct LpStats {
   int phase1_iterations = 0;  // Primal Phase-1 pivots (artificial cleanup).
   int phase2_iterations = 0;  // Primal Phase-2 pivots.
@@ -71,6 +84,7 @@ struct LpStats {
   int64_t btran = 0;          // Backward basis solves yᵀB⁻¹.
   int refactorizations = 0;   // Eta-file reinversions.
   bool warm_basis_used = false;  // The start basis survived install+repair.
+  bool cold_start = false;       // The solve ran the cold two-phase start.
 };
 
 struct LpSolution {
@@ -102,7 +116,47 @@ struct SimplexOptions {
   LpBasis start_basis;
 };
 
-// Solves the LP relaxation of `model` (integrality is ignored).
+// The constraint matrix by column (compressed sparse column): column j's
+// entries are [start[j], start[j + 1]) of `row` / `val`, rows ascending.
+struct LpColumnIndex {
+  LpColumnIndex() = default;
+  explicit LpColumnIndex(const LpModel& model);
+
+  std::vector<int> start;  // num_variables + 1 offsets.
+  std::vector<int> row;
+  std::vector<double> val;
+};
+
+class SimplexEngine;
+
+// Simplex state for a sequence of LPs over one constraint matrix. Between
+// solves the model's variable bounds and objective may change; its rows may
+// not. Buffers (bounds, duals, eta file, candidate list) keep their capacity
+// from one solve to the next, and a solve's result does not depend on what
+// the workspace solved before: Solve(options) equals SolveLp(model, options)
+// bit for bit, pivot for pivot. Each Solve records the LP registry counters
+// (solver.lp_*) once.
+class SimplexWorkspace {
+ public:
+  // `model` and `columns` (an index of `model`'s rows) are borrowed and must
+  // outlive the workspace.
+  SimplexWorkspace(const LpModel& model, const LpColumnIndex& columns);
+  ~SimplexWorkspace();
+  SimplexWorkspace(const SimplexWorkspace&) = delete;
+  SimplexWorkspace& operator=(const SimplexWorkspace&) = delete;
+
+  // Solves the LP relaxation of the model as it stands now. With
+  // options.presolve the reduced model gets a one-shot workspace of its own
+  // (each call reduces a different variable subset).
+  LpSolution Solve(const SimplexOptions& options);
+
+ private:
+  const LpModel& model_;
+  std::unique_ptr<SimplexEngine> engine_;
+};
+
+// Solves the LP relaxation of `model` (integrality is ignored) on a one-shot
+// workspace.
 LpSolution SolveLp(const LpModel& model, const SimplexOptions& options = {});
 
 }  // namespace threesigma

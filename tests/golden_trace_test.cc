@@ -7,6 +7,14 @@
 // intentional or not — shows up as a per-cycle diff here before it shows up
 // as a fuzzy end-metric shift.
 //
+// Next to each decision CSV sits <case>.counters.txt: the solver's work
+// counters from the metrics registry (LP solves, pivots, FTRAN/BTRAN,
+// reinversions, warm bases, B&B nodes, greedy rounds). They pin the pivot
+// path itself, so a solver change that keeps decisions but takes a different
+// pivot sequence (a different pricing tie-break, reinversion order, or
+// numerics) fails here too. Two cases run with basis warm-starting off, so
+// the presolved one-shot LP path is pinned as well as the warm node path.
+//
 // Updating goldens after an INTENTIONAL scheduling change:
 //
 //   THREESIGMA_UPDATE_GOLDENS=1 ./build/tests/golden_trace_test
@@ -19,8 +27,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/env.h"
@@ -49,16 +59,42 @@ ExperimentConfig BaseConfig() {
   return config;
 }
 
-std::string DecisionCsvFor(const ExperimentConfig& config) {
+// Registry counters pinned by <case>.counters.txt, one "name value" line each.
+constexpr const char* kPinnedCounters[] = {
+    "solver.lp_solves", "solver.lp_pivots",        "solver.ftran",
+    "solver.btran",     "solver.refactorizations", "solver.warm_basis_used",
+    "solver.milp_nodes", "solver.greedy_rounds",
+};
+
+struct CaseOutput {
+  std::string decisions_csv;
+  std::string counters;
+};
+
+CaseOutput RunCase(const ExperimentConfig& config) {
   obs::ResetAll();
   obs::Options options;
   options.decisions = true;
   obs::Configure(options);
   const GeneratedWorkload workload = GenerateWorkload(config.cluster, config.workload);
   (void)SimulateSystem(SystemKind::kThreeSigma, config, workload);
-  const std::string csv = obs::DecisionLog::Global().ToCsvString();
+  CaseOutput out;
+  out.decisions_csv = obs::DecisionLog::Global().ToCsvString();
+  const std::vector<std::pair<std::string, int64_t>> values =
+      obs::MetricsRegistry::Global().CounterValues();
+  std::ostringstream counters;
+  for (const char* name : kPinnedCounters) {
+    int64_t value = 0;
+    for (const auto& [key, v] : values) {
+      if (key == name) {
+        value = v;
+      }
+    }
+    counters << name << " " << value << "\n";
+  }
+  out.counters = counters.str();
   obs::ResetAll();
-  return csv;
+  return out;
 }
 
 std::vector<std::string> SplitLines(const std::string& text) {
@@ -105,13 +141,10 @@ std::string UnifiedDiffExcerpt(const std::string& expected, const std::string& a
   return out.str();
 }
 
-void CheckGolden(const std::string& name, const ExperimentConfig& config) {
-  const std::string actual = DecisionCsvFor(config);
-  ASSERT_GT(actual.size(),
-            std::string("cycle,sim_time,pending,running,starts,preempts,abandons,deferred\n")
-                .size())
-      << "decision log came back empty";
-  const std::string path = std::string(GOLDEN_DIR) + "/" + name + ".csv";
+// Compares `actual` against the golden file `file` (or rewrites it in update
+// mode).
+void CheckAgainstGolden(const std::string& file, const std::string& actual) {
+  const std::string path = std::string(GOLDEN_DIR) + "/" + file;
   if (GetEnvInt("THREESIGMA_UPDATE_GOLDENS", 0) != 0) {
     std::string error;
     ASSERT_TRUE(WriteFileAtomic(path, actual, &error)) << error;
@@ -124,10 +157,20 @@ void CheckGolden(const std::string& name, const ExperimentConfig& config) {
       << "missing golden '" << path
       << "' — generate it with THREESIGMA_UPDATE_GOLDENS=1 (" << error << ")";
   EXPECT_TRUE(expected == actual)
-      << "per-cycle decisions drifted from " << path << "\n"
+      << "output drifted from " << path << "\n"
       << UnifiedDiffExcerpt(expected, actual)
-      << "if the scheduling change is intentional, regenerate and commit the "
-         "goldens with:\n  THREESIGMA_UPDATE_GOLDENS=1 ./build/tests/golden_trace_test";
+      << "if the change is intentional, regenerate and commit the goldens with:\n"
+         "  THREESIGMA_UPDATE_GOLDENS=1 ./build/tests/golden_trace_test";
+}
+
+void CheckGolden(const std::string& name, const ExperimentConfig& config) {
+  const CaseOutput actual = RunCase(config);
+  ASSERT_GT(actual.decisions_csv.size(),
+            std::string("cycle,sim_time,pending,running,starts,preempts,abandons,deferred\n")
+                .size())
+      << "decision log came back empty";
+  CheckAgainstGolden(name + ".csv", actual.decisions_csv);
+  CheckAgainstGolden(name + ".counters.txt", actual.counters);
 }
 
 TEST(GoldenTraceTest, Baseline) { CheckGolden("baseline", BaseConfig()); }

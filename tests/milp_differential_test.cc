@@ -15,6 +15,7 @@
 #include <cstring>
 #include <ios>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -488,6 +489,96 @@ TEST(MilpDifferentialTest, GreedyRoundingBailsOnGreaterEqualRow) {
   ASSERT_EQ(full.status, MilpStatus::kOptimal);
   EXPECT_EQ(full.greedy_incumbents, 0);
   EXPECT_DOUBLE_EQ(full.objective, 2.0);
+}
+
+// Bitwise equality of two LP solves: status, objective and value bits, the
+// exported basis, the pivot count, and every work counter.
+void ExpectSameLp(const LpSolution& a, const LpSolution& b, const std::string& where) {
+  EXPECT_EQ(a.status, b.status) << where;
+  EXPECT_EQ(DoubleBits(a.objective), DoubleBits(b.objective)) << where;
+  ASSERT_EQ(a.values.size(), b.values.size()) << where;
+  for (size_t v = 0; v < a.values.size(); ++v) {
+    EXPECT_EQ(DoubleBits(a.values[v]), DoubleBits(b.values[v])) << where << " var " << v;
+  }
+  EXPECT_TRUE(a.basis.status == b.basis.status) << where;
+  EXPECT_EQ(a.iterations, b.iterations) << where;
+  EXPECT_EQ(a.stats.phase1_iterations, b.stats.phase1_iterations) << where;
+  EXPECT_EQ(a.stats.phase2_iterations, b.stats.phase2_iterations) << where;
+  EXPECT_EQ(a.stats.dual_iterations, b.stats.dual_iterations) << where;
+  EXPECT_EQ(a.stats.ftran, b.stats.ftran) << where;
+  EXPECT_EQ(a.stats.btran, b.stats.btran) << where;
+  EXPECT_EQ(a.stats.refactorizations, b.stats.refactorizations) << where;
+  EXPECT_EQ(a.stats.warm_basis_used, b.stats.warm_basis_used) << where;
+  EXPECT_EQ(a.stats.cold_start, b.stats.cold_start) << where;
+}
+
+// A workspace reused across a node sequence (random branching fixes; warm
+// from the previous node's basis, cold, presolved, or with a hint of the
+// wrong shape, in random order) answers every node exactly as a fresh
+// one-shot SolveLp does: nothing a solve leaves in the workspace leaks into
+// the next.
+TEST(MilpDifferentialTest, ReuseMatchesFreshSolve) {
+  constexpr int kPrograms = 200;
+  constexpr int kNodes = 12;
+  int warm_used = 0;
+  int dual_pivots = 0;
+  int cold_starts = 0;
+  int infeasible = 0;
+  for (int p = 0; p < kPrograms; ++p) {
+    Rng rng(31000 + static_cast<uint64_t>(p));
+    std::vector<int> int_vars;
+    const LpModel model = SchedulerShapedProgram(rng, p % 3 == 0, p % 4 == 1, &int_vars);
+    LpModel work(model);
+    const LpColumnIndex columns(work);
+    SimplexWorkspace workspace(work, columns);
+    LpBasis previous;
+    for (int node = 0; node < kNodes; ++node) {
+      for (int v = 0; v < model.num_variables(); ++v) {
+        work.SetVariableBounds(v, model.lower(v), model.upper(v));
+      }
+      const int fixes = static_cast<int>(rng.UniformInt(0, 4));
+      for (int f = 0; f < fixes; ++f) {
+        const int v = int_vars[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(int_vars.size()) - 1))];
+        if (rng.Bernoulli(0.5)) {
+          work.SetVariableBounds(v, model.lower(v), 0.0);  // Floor child.
+        } else {
+          work.SetVariableBounds(v, 1.0, model.upper(v));  // Ceil child.
+        }
+      }
+      SimplexOptions options;
+      const int64_t mode = rng.UniformInt(0, 3);
+      if (mode == 0 || (mode == 1 && previous.empty())) {
+        options.presolve = false;  // Cold, full space.
+      } else if (mode == 1) {
+        options.presolve = false;  // Warm from the previous node.
+        options.start_basis = previous;
+      } else if (mode == 2) {
+        options.start_basis = previous;  // Presolved (the one-shot path).
+      } else {
+        options.presolve = false;  // A hint of another model's shape.
+        options.start_basis = previous;
+        options.start_basis.status.push_back(BasisStatus::kAtLower);
+      }
+      const std::string where =
+          "program " + std::to_string(p) + " node " + std::to_string(node);
+      const LpSolution reused = workspace.Solve(options);
+      const LpSolution fresh = SolveLp(work, options);
+      ExpectSameLp(reused, fresh, where);
+      warm_used += reused.stats.warm_basis_used ? 1 : 0;
+      dual_pivots += reused.stats.dual_iterations;
+      cold_starts += reused.stats.cold_start ? 1 : 0;
+      infeasible += reused.status == LpStatus::kInfeasible ? 1 : 0;
+      if (!reused.basis.empty()) {
+        previous = reused.basis;
+      }
+    }
+  }
+  // The sequence must exercise every path.
+  EXPECT_GT(warm_used, kPrograms);
+  EXPECT_GT(dual_pivots, kPrograms);
+  EXPECT_GT(cold_starts, kPrograms);
+  EXPECT_GT(infeasible, 0);
 }
 
 }  // namespace

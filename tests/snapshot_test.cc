@@ -8,6 +8,7 @@
 // (graceful via Try*, aborting via the unchecked forms).
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <iomanip>
 #include <limits>
@@ -27,6 +28,42 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Codec primitives.
+
+// The plain bytewise reflected CRC-32 (polynomial 0xEDB88320), bit by bit:
+// the reference the table-driven Crc32 must match.
+uint32_t ReferenceCrc32(const uint8_t* p, size_t size, uint32_t seed) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(SnapshotCodecTest, Crc32KnownAnswersAndReference) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+  EXPECT_EQ(Crc32(nullptr, 0, 0x1234u), 0x1234u);
+  std::vector<uint8_t> bytes(64);
+  Rng rng(99);
+  for (uint8_t& b : bytes) {
+    b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  }
+  // Every tail length 1-17 (none, part of, and past one 8-byte block) from
+  // every start 0-7, so unaligned loads are covered too, plus chaining.
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t len = 0; len <= 17; ++len) {
+      const uint8_t* p = bytes.data() + start;
+      EXPECT_EQ(Crc32(p, len), ReferenceCrc32(p, len, 0)) << start << " " << len;
+      const uint32_t head = Crc32(p, len / 2);
+      EXPECT_EQ(Crc32(p + len / 2, len - len / 2, head), ReferenceCrc32(p, len, 0))
+          << start << " " << len;
+    }
+  }
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), ReferenceCrc32(bytes.data(), bytes.size(), 0));
+}
 
 TEST(SnapshotCodecTest, PrimitiveRoundTrip) {
   SnapshotWriter writer;
