@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "src/common/check.h"
@@ -65,14 +66,7 @@ void DistributionScheduler::UpdateConfig(const DistSchedulerConfig& config) {
     info.planned_group = -1;
     info.planned_start = kNever;
     if (dist_flip) {
-      const RuntimePrediction prediction =
-          predictor_->Predict(info.record_features, info.spec.true_runtime);
-      info.point_estimate = prediction.point_estimate;
-      if (config_.use_distribution) {
-        info.sched_dist = prediction.distribution;
-      } else {
-        info.sched_dist = EmpiricalDistribution::Point(prediction.point_estimate);
-      }
+      Predict(info);
     }
     // Fault-restarted jobs keep their forced OE decay (the restart verdict
     // outlives any policy change); everyone else re-runs the adaptive gate.
@@ -83,6 +77,17 @@ void DistributionScheduler::UpdateConfig(const DistSchedulerConfig& config) {
   dirty_ = true;
   last_solve_ = -1e18;
   solves_since_rebuild_ = 0;
+}
+
+void DistributionScheduler::Predict(JobInfo& info) const {
+  const RuntimePrediction prediction =
+      predictor_->Predict(info.record_features, info.spec.true_runtime);
+  info.point_estimate = prediction.point_estimate;
+  if (config_.use_distribution) {
+    info.sched_dist = prediction.distribution;
+  } else {
+    info.sched_dist = EmpiricalDistribution::Point(prediction.point_estimate);
+  }
 }
 
 void DistributionScheduler::ApplyOverestimateDecay(JobInfo& info, bool force) const {
@@ -108,10 +113,11 @@ void DistributionScheduler::ApplyOverestimateDecay(JobInfo& info, bool force) co
   }
   info.oe_enabled = enable;
   if (enable) {
-    // The decay must span the runtimes the history considers plausible,
-    // or the "impossible" job would still value to zero everywhere.
+    // The decay window (Fig. 3d) must span the runtimes the history
+    // considers plausible, or the "impossible" job would still value to zero
+    // everywhere.
     const double span = std::max(window, info.sched_dist.MaxValue());
-    const double decay = std::max(span * config_.oe_decay_factor, config_.cycle_period);
+    const double decay = std::max(span, config_.cycle_period);
     info.effective_utility = spec.utility.WithOverestimateDecay(decay);
   }
 }
@@ -120,15 +126,7 @@ void DistributionScheduler::OnJobArrival(const JobSpec& spec, Time now) {
   JobInfo info;
   info.spec = spec;
   info.record_features = spec.features;
-
-  const RuntimePrediction prediction = predictor_->Predict(spec.features, spec.true_runtime);
-  info.point_estimate = prediction.point_estimate;
-  if (config_.use_distribution) {
-    info.sched_dist = prediction.distribution;
-  } else {
-    info.sched_dist = EmpiricalDistribution::Point(prediction.point_estimate);
-  }
-
+  Predict(info);
   ApplyOverestimateDecay(info, /*force=*/false);
 
   valuation_.InvalidateJob(spec.id);  // A reused id must not see stale tables.
@@ -211,15 +209,7 @@ void DistributionScheduler::OnJobFaultKilled(JobId id, Time now) {
   ++info.attempts;
   info.record_features = info.spec.features;
   info.record_features.push_back("attempts=" + std::to_string(info.attempts));
-
-  const RuntimePrediction prediction =
-      predictor_->Predict(info.record_features, info.spec.true_runtime);
-  info.point_estimate = prediction.point_estimate;
-  if (config_.use_distribution) {
-    info.sched_dist = prediction.distribution;
-  } else {
-    info.sched_dist = EmpiricalDistribution::Point(prediction.point_estimate);
-  }
+  Predict(info);
 
   // §4.2.2 applied to restarts: whatever the history says, the deadline math
   // for this job is now off by the lost run — treat it as an over-estimate
@@ -402,70 +392,10 @@ void DistributionScheduler::RetireCapacityContribution(JobInfo& info) {
   info.capacity_applied = false;
 }
 
-void DistributionScheduler::UpdateConsumed(Time now, const ClusterStateView& state,
-                                           CycleResult* result) {
-  const bool incremental = solves_since_rebuild_ < kCacheRebuildPeriod;
-  if (!incremental) {
-    solves_since_rebuild_ = 0;
-    for (std::vector<double>& row : consumed_) {
-      std::fill(row.begin(), row.end(), 0.0);
-    }
-    for (auto& [id, info] : jobs_) {
-      info.capacity_applied = false;
-    }
-  }
-  ++solves_since_rebuild_;
-
-  for (const RunningJobView& r : state.running) {
-    auto it = jobs_.find(r.id);
-    TS_CHECK_MSG(it != jobs_.end(), "unknown running job " << r.id);
-    JobInfo& info = it->second;
-    TS_CHECK(info.running);
-    TS_CHECK_MSG(info.group == r.group, "group mismatch for job " << r.id);
-    if (incremental && info.capacity_applied && now < info.survival_valid_until) {
-      ++result->capacity_cache_hits;
-      continue;
-    }
-    RetireCapacityContribution(info);
-    RefreshRunningSurvival(info, now);
-    const double k = info.spec.num_tasks;
-    std::vector<double>& row = consumed_[static_cast<size_t>(info.group)];
-    for (size_t i = 0; i < info.cached_survival.size(); ++i) {
-      row[i] += k * info.cached_survival[i];
-    }
-    info.capacity_applied = true;
-    ++result->capacity_cache_misses;
-  }
-  cache_hits_ += result->capacity_cache_hits;
-  cache_misses_ += result->capacity_cache_misses;
-
-  if (config_.capacity_cache_crosscheck) {
-    // The cache invariant: delta-updated rows must equal a from-scratch
-    // recompute (up to float accumulation noise).
-    std::vector<std::vector<double>> expected(
-        consumed_.size(), std::vector<double>(static_cast<size_t>(config_.num_start_slots), 0.0));
-    std::vector<double> survival;
-    for (const RunningJobView& r : state.running) {
-      const JobInfo& info = jobs_.at(r.id);
-      ComputeRunningSurvival(info, now, &survival);
-      for (size_t i = 0; i < survival.size(); ++i) {
-        expected[static_cast<size_t>(r.group)][i] += info.spec.num_tasks * survival[i];
-      }
-    }
-    for (size_t g = 0; g < consumed_.size(); ++g) {
-      for (size_t i = 0; i < consumed_[g].size(); ++i) {
-        const double diff = std::fabs(consumed_[g][i] - expected[g][i]);
-        TS_CHECK_MSG(diff <= 1e-6 * std::max(1.0, std::fabs(expected[g][i])),
-                     "capacity cache drift at group " << g << " slot " << i << ": cached "
-                                                      << consumed_[g][i] << " vs recomputed "
-                                                      << expected[g][i]);
-      }
-    }
-  }
-}
-
 CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& state) {
+  const auto cycle_start = std::chrono::steady_clock::now();
   CycleResult result = RunCycleImpl(now, state);
+  result.cycle_seconds = SecondsSince(cycle_start);
   // Publish the cycle's outcome to the metrics registry: the unified counter
   // plumbing the report layer and tests read instead of ad-hoc totals.
   struct SchedCounters {
@@ -512,123 +442,167 @@ CycleResult DistributionScheduler::RunCycle(Time now, const ClusterStateView& st
 }
 
 CycleResult DistributionScheduler::RunCycleImpl(Time now, const ClusterStateView& state) {
-  const auto cycle_start = std::chrono::steady_clock::now();
   CycleResult result;
   TS_CHECK(state.cluster != nullptr);
-
-  // Solve-skip: with unchanged state, no deferred start coming due, and a
-  // recent solve, this cycle cannot improve on the previous plan.
-  if (!dirty_ && now < last_solve_ + config_.max_solve_skip) {
-    bool plan_due = false;
-    for (JobId id : pending_) {
-      const JobInfo& info = jobs_.at(id);
-      if (info.planned_start != kNever && info.planned_start <= now + config_.cycle_period) {
-        plan_due = true;
-        break;
-      }
-    }
-    if (!plan_due) {
-      result.cycle_seconds = SecondsSince(cycle_start);
-      return result;
-    }
+  if (CanSkipSolve(now)) {
+    return result;
   }
   dirty_ = false;
   last_solve_ = now;
-  const int num_groups = cluster_.num_groups();
-  const int slots = config_.num_start_slots;
-  const double delta = config_.planahead / slots;
-
-  // --- 1. Running jobs: conditional consumption per (group, slot). ---------
-  // Brings consumed_[g][i] up to date incrementally; every running job's
-  // cached_survival is fresh as of `now` afterwards — either because it was
-  // just recomputed or because its validity horizon has not expired.
-  struct PreemptCandidate {
-    JobId id;
-    int group;
-    double k;
-    std::vector<double> survival;  // Per slot.
-    double cost;
-  };
-  std::vector<PreemptCandidate> preemptables;
-  {
-    TS_OBS_SPAN("sched.capacity", obs::Phase::kCapacity);
-    UpdateConsumed(now, state, &result);
-    // Preemption candidates: running best-effort jobs (§4.3.5).
-    for (const RunningJobView& r : state.running) {
-      if (!(config_.enable_preemption && r.type == JobType::kBestEffort)) {
-        continue;
-      }
-      const JobInfo& info = jobs_.at(r.id);
-      preemptables.push_back(PreemptCandidate{
-          r.id, r.group, static_cast<double>(r.num_tasks), info.cached_survival,
-          config_.preemption_cost_factor * info.effective_utility.peak_value()});
-    }
-  }
-
-  // --- 2. Pending selection and abandonment. ------------------------------
-  std::vector<JobId> considered;
-  {
-    TS_OBS_SPAN("sched.select", obs::Phase::kSelect);
-    std::vector<JobId> slo;
-    std::vector<JobId> be;
-    for (JobId id : pending_) {
-      JobInfo& info = jobs_.at(id);
-      // A job whose utility is already zero for *any* completion time can
-      // never contribute; retire it (its deadline + decay window passed).
-      if (info.spec.is_slo() && info.effective_utility.ValueAtCompletion(now) <= 0.0) {
-        result.abandon.push_back(id);
-        continue;
-      }
-      (info.spec.is_slo() ? slo : be).push_back(id);
-    }
-    std::sort(slo.begin(), slo.end(), [&](JobId a, JobId b) {
-      return jobs_.at(a).spec.deadline < jobs_.at(b).spec.deadline;
-    });
-    std::sort(be.begin(), be.end(), [&](JobId a, JobId b) {
-      return jobs_.at(a).spec.submit_time < jobs_.at(b).spec.submit_time;
-    });
-    for (JobId id : slo) {
-      considered.push_back(id);
-    }
-    for (JobId id : be) {
-      considered.push_back(id);
-    }
-    if (static_cast<int>(considered.size()) > config_.max_pending_considered) {
-      considered.resize(config_.max_pending_considered);
-    }
-    for (JobId id : result.abandon) {
-      pending_.erase(std::remove(pending_.begin(), pending_.end(), id), pending_.end());
-      valuation_.InvalidateJob(id);
-      jobs_.erase(id);
-    }
-  }
+  // Eq. 2/3 leaves every running job's cached_survival fresh as of `now`.
+  const std::vector<PreemptCandidate> preemptables = ChargeCapacity(now, state, &result);
+  const std::vector<JobId> considered = SelectPending(now, &result);
   if (considered.empty()) {
-    result.cycle_seconds = SecondsSince(cycle_start);
     return result;
   }
+  // Remaining expected capacity per (group, slot).
+  std::vector<std::vector<double>> cap;
+  const std::vector<Option> options = ValueOptions(now, state, considered, &cap, &result);
+  Choice choice;
+  if (config_.backend == SolverBackend::kGreedy) {
+    choice = SolveGreedy(options, std::move(cap), &result);
+  } else {
+    std::vector<double> warm_start;
+    const LpModel model = BuildMilp(now, options, preemptables, cap, &warm_start);
+    result.milp_variables = model.num_variables();
+    result.milp_rows = model.num_rows();
+    // With no options, or no feasible point, the previous plans stand.
+    if (options.empty() ||
+        !SolveMilp(model, std::move(warm_start), options.size(), preemptables, &choice, &result)) {
+      return result;
+    }
+  }
+  Place(now, considered, options, choice, &result);
+  return result;
+}
 
-  // --- 3. Options and their valuation (Eq. 1). -----------------------------
-  struct Option {
-    JobId job;
-    int group;
-    int slot;  // Start slot index; slot 0 == start now.
-    double eu;
-    // Expected node consumption at slot offsets [0, cons_len); points into
-    // the per-job staging arena (value_stage_), stable for the cycle.
-    const double* cons = nullptr;
-    int cons_len = 0;
-    int var = -1;  // MILP indicator (kMilp backend only).
-  };
-  std::vector<Option> options;
-  // Per job: option indices (demand rows / greedy candidate sets).
-  std::map<JobId, std::vector<size_t>> job_options;
-  // Remaining expected capacity per (group, slot). Supply is the *available*
-  // node count (nominal minus crashed nodes) so fault churn shrinks what the
-  // MILP may hand out; with no faults this equals the nominal count.
-  std::vector<std::vector<double>> cap(num_groups, std::vector<double>(slots));
-  {
+bool DistributionScheduler::CanSkipSolve(Time now) const {
+  // With unchanged state, no deferred start coming due, and a recent solve,
+  // this cycle cannot improve on the previous plan.
+  if (dirty_ || now >= last_solve_ + config_.max_solve_skip) {
+    return false;
+  }
+  for (JobId id : pending_) {
+    const JobInfo& info = jobs_.at(id);
+    if (info.planned_start != kNever && info.planned_start <= now + config_.cycle_period) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::vector<DistributionScheduler::PreemptCandidate> DistributionScheduler::ChargeCapacity(
+    Time now, const ClusterStateView& state, CycleResult* result) {
+  TS_OBS_SPAN("sched.capacity", obs::Phase::kCapacity);
+  const bool incremental = solves_since_rebuild_ < kCacheRebuildPeriod;
+  if (!incremental) {
+    solves_since_rebuild_ = 0;
+    for (std::vector<double>& row : consumed_) {
+      std::fill(row.begin(), row.end(), 0.0);
+    }
+    for (auto& [id, info] : jobs_) {
+      info.capacity_applied = false;
+    }
+  }
+  ++solves_since_rebuild_;
+
+  for (const RunningJobView& r : state.running) {
+    auto it = jobs_.find(r.id);
+    TS_CHECK_MSG(it != jobs_.end(), "unknown running job " << r.id);
+    JobInfo& info = it->second;
+    TS_CHECK(info.running);
+    TS_CHECK_MSG(info.group == r.group, "group mismatch for job " << r.id);
+    if (incremental && info.capacity_applied && now < info.survival_valid_until) {
+      ++result->capacity_cache_hits;
+      continue;
+    }
+    RetireCapacityContribution(info);
+    RefreshRunningSurvival(info, now);
+    const double k = info.spec.num_tasks;
+    std::vector<double>& row = consumed_[static_cast<size_t>(info.group)];
+    for (size_t i = 0; i < info.cached_survival.size(); ++i) {
+      row[i] += k * info.cached_survival[i];
+    }
+    info.capacity_applied = true;
+    ++result->capacity_cache_misses;
+  }
+
+  if (config_.capacity_cache_crosscheck) {
+    // The cache invariant: delta-updated rows must equal a from-scratch
+    // recompute (up to float accumulation noise).
+    std::vector<std::vector<double>> expected(
+        consumed_.size(), std::vector<double>(static_cast<size_t>(config_.num_start_slots), 0.0));
+    std::vector<double> survival;
+    for (const RunningJobView& r : state.running) {
+      const JobInfo& info = jobs_.at(r.id);
+      ComputeRunningSurvival(info, now, &survival);
+      for (size_t i = 0; i < survival.size(); ++i) {
+        expected[static_cast<size_t>(r.group)][i] += info.spec.num_tasks * survival[i];
+      }
+    }
+    for (size_t g = 0; g < consumed_.size(); ++g) {
+      for (size_t i = 0; i < consumed_[g].size(); ++i) {
+        const double diff = std::fabs(consumed_[g][i] - expected[g][i]);
+        TS_CHECK_MSG(diff <= 1e-6 * std::max(1.0, std::fabs(expected[g][i])),
+                     "capacity cache drift at group " << g << " slot " << i << ": cached "
+                                                      << consumed_[g][i] << " vs recomputed "
+                                                      << expected[g][i]);
+      }
+    }
+  }
+
+  // Preemption candidates: running best-effort jobs (§4.3.5).
+  std::vector<PreemptCandidate> preemptables;
+  for (const RunningJobView& r : state.running) {
+    if (!(config_.enable_preemption && r.type == JobType::kBestEffort)) {
+      continue;
+    }
+    const JobInfo& info = jobs_.at(r.id);
+    preemptables.push_back(PreemptCandidate{
+        r.id, r.group, static_cast<double>(r.num_tasks), info.cached_survival,
+        config_.preemption_cost_factor * info.effective_utility.peak_value()});
+  }
+  return preemptables;
+}
+
+std::vector<JobId> DistributionScheduler::SelectPending(Time now, CycleResult* result) {
+  TS_OBS_SPAN("sched.select", obs::Phase::kSelect);
+  std::vector<JobId> slo;
+  std::vector<JobId> be;
+  for (JobId id : pending_) {
+    JobInfo& info = jobs_.at(id);
+    // A job whose utility is already zero for *any* completion time can
+    // never contribute; retire it (its deadline + decay window passed).
+    if (info.spec.is_slo() && info.effective_utility.ValueAtCompletion(now) <= 0.0) {
+      result->abandon.push_back(id);
+      continue;
+    }
+    (info.spec.is_slo() ? slo : be).push_back(id);
+  }
+  std::sort(slo.begin(), slo.end(), [&](JobId a, JobId b) {
+    return jobs_.at(a).spec.deadline < jobs_.at(b).spec.deadline;
+  });
+  std::sort(be.begin(), be.end(), [&](JobId a, JobId b) {
+    return jobs_.at(a).spec.submit_time < jobs_.at(b).spec.submit_time;
+  });
+  std::vector<JobId> considered = std::move(slo);
+  considered.insert(considered.end(), be.begin(), be.end());
+  if (static_cast<int>(considered.size()) > config_.max_pending_considered) {
+    considered.resize(config_.max_pending_considered);
+  }
+  for (JobId id : result->abandon) {
+    pending_.erase(std::remove(pending_.begin(), pending_.end(), id), pending_.end());
+    valuation_.InvalidateJob(id);
+    jobs_.erase(id);
+  }
+  return considered;
+}
+
+std::vector<DistributionScheduler::Option> DistributionScheduler::ValueOptions(
+    Time now, const ClusterStateView& state, const std::vector<JobId>& considered,
+    std::vector<std::vector<double>>* cap, CycleResult* result) {
   TS_OBS_SPAN("sched.value", obs::Phase::kValuation);
-
+  const int num_groups = cluster_.num_groups();
   const int n = static_cast<int>(considered.size());
   if (static_cast<int>(value_stage_.size()) < n) {
     value_stage_.resize(static_cast<size_t>(n));
@@ -655,8 +629,8 @@ CycleResult DistributionScheduler::RunCycleImpl(Time now, const ClusterStateView
                         info.effective_utility, &prepare);
     }
   }
-  result.valuation_cache_hits = prepare.cache_hits;
-  result.valuation_cache_misses = prepare.cache_misses;
+  result->valuation_cache_hits = prepare.cache_hits;
+  result->valuation_cache_misses = prepare.cache_misses;
 
   // Deterministic fan-out: static index-ordered output slots. Workers read
   // shared state (jobs_, the table cache) and write only their own
@@ -675,153 +649,137 @@ CycleResult DistributionScheduler::RunCycleImpl(Time now, const ClusterStateView
     }
   }
   for (const ValuationScratch& s : value_scratch_) {
-    result.valuation_kernel_calls += s.counters.kernel_calls;
+    result->valuation_kernel_calls += s.counters.kernel_calls;
   }
-  val_hits_ += result.valuation_cache_hits;
-  val_misses_ += result.valuation_cache_misses;
-  val_kernel_calls_ += result.valuation_kernel_calls;
 
-  // Serial merge in `considered` order: reproduces the exact (job, group,
-  // slot) option ordering the pre-fan-out serial loop emitted.
+  // Serial merge in `considered` order: each job's options are contiguous,
+  // in (group, slot) order.
+  std::vector<Option> options;
   for (int i = 0; i < n; ++i) {
-    const JobId id = considered[static_cast<size_t>(i)];
     const JobValuation& staged = value_stage_[static_cast<size_t>(i)];
     for (const ValuedOption& vo : staged.options) {
-      Option opt;
-      opt.job = id;
-      opt.group = vo.group;
-      opt.slot = vo.slot;
-      opt.eu = vo.eu;
-      opt.cons = staged.consumption.data() + vo.cons_offset;
-      opt.cons_len = vo.cons_len;
-      job_options[id].push_back(options.size());
-      options.push_back(opt);
+      options.push_back(Option{considered[static_cast<size_t>(i)], vo.group, vo.slot, vo.eu,
+                               staged.consumption.data() + vo.cons_offset, vo.cons_len});
     }
   }
 
+  // Supply is the *available* node count (nominal minus crashed nodes), so
+  // fault churn shrinks what the backends may hand out; with no faults it
+  // equals the nominal count.
+  const int slots = config_.num_start_slots;
+  cap->assign(static_cast<size_t>(num_groups), std::vector<double>(static_cast<size_t>(slots)));
   for (int g = 0; g < num_groups; ++g) {
     const double supply = state.AvailableNodes(g);
     for (int i = 0; i < slots; ++i) {
-      cap[g][i] = supply - consumed_[static_cast<size_t>(g)][static_cast<size_t>(i)];
+      (*cap)[g][i] = supply - consumed_[static_cast<size_t>(g)][static_cast<size_t>(i)];
     }
   }
-  }  // sched.value span.
+  return options;
+}
 
-  if (config_.backend == SolverBackend::kGreedy) {
-    // Utility-greedy packing: jobs in priority order each take their highest
-    // expected-utility option that still fits; no joint optimization and no
-    // preemption. `considered` is already SLO-deadline-then-BE-submit order.
-    TS_OBS_SPAN("sched.greedy_solve", obs::Phase::kSolve);
-    const auto solve_start = std::chrono::steady_clock::now();
-    for (JobId id : considered) {
-      JobInfo& info = jobs_.at(id);
-      info.planned_group = -1;
-      info.planned_start = kNever;
-      const auto it = job_options.find(id);
-      if (it == job_options.end()) {
-        continue;
-      }
-      const Option* best = nullptr;
-      for (size_t idx : it->second) {
-        const Option& opt = options[idx];
-        bool fits = true;
-        for (int d = 0; d < opt.cons_len; ++d) {
-          if (opt.cons[d] > cap[opt.group][opt.slot + d] + 1e-9) {
-            fits = false;
-            break;
-          }
-        }
-        if (fits && (best == nullptr || opt.eu > best->eu)) {
-          best = &opt;
+DistributionScheduler::Choice DistributionScheduler::SolveGreedy(
+    const std::vector<Option>& options, std::vector<std::vector<double>> cap,
+    CycleResult* result) const {
+  // Utility-greedy packing: jobs in priority order (options come grouped by
+  // job in `considered` order, SLO-deadline then BE-submit) each take their
+  // highest expected-utility option that still fits; no joint optimization
+  // and no preemption.
+  TS_OBS_SPAN("sched.greedy_solve", obs::Phase::kSolve);
+  const auto solve_start = std::chrono::steady_clock::now();
+  Choice choice;
+  size_t end = 0;
+  for (size_t begin = 0; begin < options.size(); begin = end) {
+    const Option* best = nullptr;
+    for (end = begin; end < options.size() && options[end].job == options[begin].job; ++end) {
+      const Option& opt = options[end];
+      bool fits = true;
+      for (int d = 0; d < opt.cons_len; ++d) {
+        if (opt.cons[d] > cap[opt.group][opt.slot + d] + 1e-9) {
+          fits = false;
+          break;
         }
       }
-      if (best == nullptr) {
-        continue;
-      }
-      for (int d = 0; d < best->cons_len; ++d) {
-        cap[best->group][best->slot + d] -= best->cons[d];
-      }
-      if (best->slot == 0) {
-        result.start.push_back(Placement{id, best->group});
-      } else {
-        info.planned_group = best->group;
-        info.planned_start = now + best->slot * delta;
-        result.deferred.push_back(PlannedPlacement{id, best->group, info.planned_start});
+      if (fits && (best == nullptr || opt.eu > best->eu)) {
+        best = &opt;
       }
     }
-    result.solver_seconds = SecondsSince(solve_start);
-    result.cycle_seconds = SecondsSince(cycle_start);
-    return result;
+    if (best == nullptr) {
+      continue;
+    }
+    for (int d = 0; d < best->cons_len; ++d) {
+      cap[best->group][best->slot + d] -= best->cons[d];
+    }
+    choice.options.push_back(static_cast<size_t>(best - options.data()));
   }
+  result->solver_seconds = SecondsSince(solve_start);
+  return choice;
+}
 
-  // --- 4. MILP compilation (§4.3.3). ---------------------------------------
+LpModel DistributionScheduler::BuildMilp(Time now, const std::vector<Option>& options,
+                                         const std::vector<PreemptCandidate>& preemptables,
+                                         const std::vector<std::vector<double>>& cap,
+                                         std::vector<double>* warm_start) const {
+  const int num_groups = cluster_.num_groups();
+  const int slots = config_.num_start_slots;
   LpModel model;
-  std::vector<int> preempt_vars(preemptables.size(), -1);
   {
-  TS_OBS_SPAN("sched.build", obs::Phase::kBuild);
-  // capacity_terms[g][i]: accumulating LHS of the capacity row.
-  std::vector<std::vector<std::vector<LpTerm>>> capacity_terms(
-      num_groups, std::vector<std::vector<LpTerm>>(slots));
-  std::map<JobId, std::vector<int>> job_vars;
-  for (Option& opt : options) {
-    opt.var = model.AddVariable(0.0, 1.0, opt.eu);
-    job_vars[opt.job].push_back(opt.var);
-    for (int d = 0; d < opt.cons_len; ++d) {
-      if (opt.cons[d] > 1e-9) {
-        capacity_terms[opt.group][opt.slot + d].push_back(LpTerm{opt.var, opt.cons[d]});
+    TS_OBS_SPAN("sched.build", obs::Phase::kBuild);
+    // capacity_terms[g][i]: accumulating LHS of the capacity row.
+    std::vector<std::vector<std::vector<LpTerm>>> capacity_terms(
+        num_groups, std::vector<std::vector<LpTerm>>(slots));
+    std::map<JobId, std::vector<int>> job_vars;
+    for (const Option& opt : options) {
+      const int var = model.AddVariable(0.0, 1.0, opt.eu);
+      job_vars[opt.job].push_back(var);
+      for (int d = 0; d < opt.cons_len; ++d) {
+        if (opt.cons[d] > 1e-9) {
+          capacity_terms[opt.group][opt.slot + d].push_back(LpTerm{var, opt.cons[d]});
+        }
+      }
+    }
+
+    // Preemption variables: credit the victim's expected consumption back to
+    // capacity, pay its cost in the objective (§4.3.5).
+    for (const PreemptCandidate& cand : preemptables) {
+      const int var = model.AddVariable(0.0, 1.0, -cand.cost);
+      for (int i = 0; i < slots; ++i) {
+        const double credit = cand.k * cand.survival[i];
+        if (credit > 1e-9) {
+          capacity_terms[cand.group][i].push_back(LpTerm{var, -credit});
+        }
+      }
+    }
+
+    // Demand rows: at most one option per job, in ascending job id.
+    for (const auto& [id, vars] : job_vars) {
+      std::vector<LpTerm> terms;
+      terms.reserve(vars.size());
+      for (int v : vars) {
+        terms.push_back(LpTerm{v, 1.0});
+      }
+      model.AddRow(RowSense::kLessEqual, 1.0, std::move(terms));
+    }
+    // Capacity rows (Eq. 3).
+    for (int g = 0; g < num_groups; ++g) {
+      for (int i = 0; i < slots; ++i) {
+        if (capacity_terms[g][i].empty()) {
+          continue;
+        }
+        model.AddRow(RowSense::kLessEqual, cap[g][i], std::move(capacity_terms[g][i]));
       }
     }
   }
-
-  // Preemption variables: credit the victim's expected consumption back to
-  // capacity, pay its cost in the objective (§4.3.5).
-  for (size_t p = 0; p < preemptables.size(); ++p) {
-    const PreemptCandidate& cand = preemptables[p];
-    const int var = model.AddVariable(0.0, 1.0, -cand.cost);
-    preempt_vars[p] = var;
-    for (int i = 0; i < slots; ++i) {
-      const double credit = cand.k * cand.survival[i];
-      if (credit > 1e-9) {
-        capacity_terms[cand.group][i].push_back(LpTerm{var, -credit});
-      }
-    }
-  }
-
-  // Demand rows: at most one option per job.
-  for (const auto& [id, vars] : job_vars) {
-    std::vector<LpTerm> terms;
-    terms.reserve(vars.size());
-    for (int v : vars) {
-      terms.push_back(LpTerm{v, 1.0});
-    }
-    model.AddRow(RowSense::kLessEqual, 1.0, std::move(terms));
-  }
-  // Capacity rows (Eq. 3).
-  for (int g = 0; g < num_groups; ++g) {
-    for (int i = 0; i < slots; ++i) {
-      if (capacity_terms[g][i].empty()) {
-        continue;
-      }
-      model.AddRow(RowSense::kLessEqual, cap[g][i], std::move(capacity_terms[g][i]));
-    }
-  }
-  }  // sched.build span.
-
-  result.milp_variables = model.num_variables();
-  result.milp_rows = model.num_rows();
-
   if (options.empty()) {
-    result.cycle_seconds = SecondsSince(cycle_start);
-    return result;
+    return model;
   }
 
   // Warm start: re-propose last cycle's plan (§4.3.6's seeding).
-  std::vector<double> warm(model.num_variables(), 0.0);
-  bool any_warm = false;
-  std::vector<int> int_vars;
-  {
   TS_OBS_SPAN("sched.warm_start", obs::Phase::kBuild);
-  for (const Option& opt : options) {
+  const double delta = config_.planahead / slots;
+  warm_start->assign(static_cast<size_t>(model.num_variables()), 0.0);
+  bool any_warm = false;
+  for (size_t i = 0; i < options.size(); ++i) {
+    const Option& opt = options[i];
     const JobInfo& info = jobs_.at(opt.job);
     if (info.planned_group != opt.group || info.planned_start == kNever) {
       continue;
@@ -829,81 +787,91 @@ CycleResult DistributionScheduler::RunCycleImpl(Time now, const ClusterStateView
     // Pick the slot whose start time is nearest the previously planned start.
     const Time start = now + opt.slot * delta;
     if (std::fabs(start - info.planned_start) <= delta * 0.5 + 1e-9) {
-      warm[opt.var] = 1.0;
+      (*warm_start)[i] = 1.0;
       any_warm = true;
     }
   }
-
-  int_vars.reserve(options.size() + preempt_vars.size());
-  for (const Option& o : options) {
-    int_vars.push_back(o.var);
+  if (!any_warm) {
+    warm_start->clear();
   }
-  for (int v : preempt_vars) {
-    int_vars.push_back(v);
-  }
-  }  // sched.warm_start span.
+  return model;
+}
 
+bool DistributionScheduler::SolveMilp(const LpModel& model, std::vector<double> warm_start,
+                                      size_t num_options,
+                                      const std::vector<PreemptCandidate>& preemptables,
+                                      Choice* choice, CycleResult* result) {
   MilpOptions milp_options;
   milp_options.time_limit_seconds = config_.solver_time_limit_seconds;
   milp_options.max_nodes = config_.solver_max_nodes;
-  if (any_warm) {
-    milp_options.warm_start = warm;
-  }
+  milp_options.warm_start = std::move(warm_start);
   milp_options.basis_warmstart = config_.solver_basis_warmstart;
   if (config_.solver_basis_warmstart) {
     // Previous cycle's root basis; discarded inside the solver if this
     // cycle's model has a different shape.
     milp_options.root_basis = last_root_basis_;
   }
+  // Every variable is a 0/1 indicator.
+  std::vector<int> int_vars(static_cast<size_t>(model.num_variables()));
+  std::iota(int_vars.begin(), int_vars.end(), 0);
   const auto solve_start = std::chrono::steady_clock::now();
   MilpSolution solution;
   {
     TS_OBS_SPAN("sched.solve", obs::Phase::kSolve);
-    MilpSolver solver(model, int_vars);
+    MilpSolver solver(model, std::move(int_vars));
     solution = solver.Solve(milp_options);
   }
-  result.solver_seconds = SecondsSince(solve_start);
+  result->solver_seconds = SecondsSince(solve_start);
   if (!solution.root_basis.empty()) {
     last_root_basis_ = solution.root_basis;
   }
-  result.milp_nodes = solution.nodes_explored;
-  result.milp_max_queue_depth = solution.max_queue_depth;
-  result.milp_incumbent_improvements = static_cast<int>(solution.incumbent_improvements.size());
-
-  if (solution.status != MilpStatus::kInfeasible) {
-    TS_OBS_SPAN("sched.place", obs::Phase::kPlacement);
-    // Clear previous plans; they are re-established from this solution.
-    for (JobId id : considered) {
-      JobInfo& info = jobs_.at(id);
-      info.planned_group = -1;
-      info.planned_start = kNever;
-    }
-    for (const Option& opt : options) {
-      if (solution.values[opt.var] < 0.5) {
-        continue;
-      }
-      JobInfo& info = jobs_.at(opt.job);
-      if (opt.slot == 0) {
-        result.start.push_back(Placement{opt.job, opt.group});
-      } else {
-        info.planned_group = opt.group;
-        info.planned_start = now + opt.slot * delta;
-        result.deferred.push_back(PlannedPlacement{opt.job, opt.group, info.planned_start});
-      }
-    }
-    for (size_t p = 0; p < preemptables.size(); ++p) {
-      if (solution.values[preempt_vars[p]] >= 0.5) {
-        result.preempt.push_back(preemptables[p].id);
-      }
+  result->milp_nodes = solution.nodes_explored;
+  result->milp_max_queue_depth = solution.max_queue_depth;
+  result->milp_incumbent_improvements = solution.incumbent_improvements;
+  if (solution.status == MilpStatus::kInfeasible) {
+    return false;
+  }
+  // Variable i < num_options is option i; preemption candidate p follows.
+  for (size_t i = 0; i < num_options; ++i) {
+    if (solution.values[i] >= 0.5) {
+      choice->options.push_back(i);
     }
   }
+  for (size_t p = 0; p < preemptables.size(); ++p) {
+    if (solution.values[num_options + p] >= 0.5) {
+      choice->preempt.push_back(preemptables[p].id);
+    }
+  }
+  return true;
+}
 
-  result.cycle_seconds = SecondsSince(cycle_start);
-  return result;
+void DistributionScheduler::Place(Time now, const std::vector<JobId>& considered,
+                                  const std::vector<Option>& options, const Choice& choice,
+                                  CycleResult* result) {
+  TS_OBS_SPAN("sched.place", obs::Phase::kPlacement);
+  // Clear previous plans; they are re-established from this choice.
+  for (JobId id : considered) {
+    JobInfo& info = jobs_.at(id);
+    info.planned_group = -1;
+    info.planned_start = kNever;
+  }
+  const double delta = config_.planahead / config_.num_start_slots;
+  for (size_t i : choice.options) {
+    const Option& opt = options[i];
+    if (opt.slot == 0) {
+      result->start.push_back(Placement{opt.job, opt.group});
+    } else {
+      JobInfo& info = jobs_.at(opt.job);
+      info.planned_group = opt.group;
+      info.planned_start = now + opt.slot * delta;
+      result->deferred.push_back(PlannedPlacement{opt.job, opt.group, info.planned_start});
+    }
+  }
+  result->preempt = choice.preempt;
 }
 
 void DistributionScheduler::SaveState(SnapshotWriter& writer) const {
-  writer.BeginSection("sched", 4);
+  writer.BeginSection("sched", 5);
   writer.WriteString("3sigma-sched");
   writer.WriteVarU64(jobs_.size());
   for (const auto& [id, info] : jobs_) {
@@ -938,21 +906,15 @@ void DistributionScheduler::SaveState(SnapshotWriter& writer) const {
   for (const std::vector<double>& row : consumed_) {
     writer.WriteDoubleVec(row);
   }
-  writer.WriteVarI64(cache_hits_);
-  writer.WriteVarI64(cache_misses_);
   writer.WriteVarI64(solves_since_rebuild_);
   writer.WriteVarU64(last_root_basis_.status.size());
   for (BasisStatus s : last_root_basis_.status) {
     writer.WriteU8(static_cast<uint8_t>(s));
   }
-  // The valuation engine's cached key set plus its lifetime counters.
-  // Tables themselves are rebuilt from restored job state on resume (they
+  // The valuation engine's cached key set. Tables themselves are rebuilt from restored job state on resume (they
   // are pure functions of it), so only the keys need to be persisted for
   // the resumed hit/miss stream to stay byte-identical.
   valuation_.SaveState(writer);
-  writer.WriteVarI64(val_hits_);
-  writer.WriteVarI64(val_misses_);
-  writer.WriteVarI64(val_kernel_calls_);
   writer.EndSection();
 
   writer.BeginSection("predict", 1);
@@ -961,7 +923,7 @@ void DistributionScheduler::SaveState(SnapshotWriter& writer) const {
 }
 
 void DistributionScheduler::RestoreState(SnapshotReader& reader) {
-  // Reads the version-4 layout only: restore is reached through
+  // Reads the version-5 layout only: restore is reached through
   // Simulator::TryRestoreStateFromBuffer, whose "meta" gate rejects every
   // snapshot version but the current one.
   reader.BeginSection("sched");
@@ -1013,8 +975,6 @@ void DistributionScheduler::RestoreState(SnapshotReader& reader) {
       row = reader.ReadDoubleVec();
     }
   }
-  cache_hits_ = reader.ReadVarI64();
-  cache_misses_ = reader.ReadVarI64();
   solves_since_rebuild_ = static_cast<int>(reader.ReadVarI64());
   const uint64_t basis_size = reader.ReadVarU64();
   last_root_basis_.status.clear();
@@ -1035,9 +995,6 @@ void DistributionScheduler::RestoreState(SnapshotReader& reader) {
                         /*counters=*/nullptr);
     }
   }
-  val_hits_ = reader.ReadVarI64();
-  val_misses_ = reader.ReadVarI64();
-  val_kernel_calls_ = reader.ReadVarI64();
   reader.EndSection();
 
   reader.BeginSection("predict");

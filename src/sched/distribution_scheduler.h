@@ -40,6 +40,7 @@
 #include "src/predict/predictor.h"
 #include "src/sched/scheduler.h"
 #include "src/sched/valuation.h"
+#include "src/solver/lp_model.h"
 #include "src/solver/simplex.h"
 
 namespace threesigma {
@@ -61,9 +62,6 @@ struct DistSchedulerConfig {
   bool adaptive_oe = true;
   // §4.2.3: enable OE handling when P(T <= deadline window) is below this.
   double oe_probability_threshold = 0.05;
-  // The decay window of the extended utility (Fig. 3d) as a multiple of the
-  // job's deadline window.
-  double oe_decay_factor = 1.0;
 
   // §4.3.5 preemption of running best-effort jobs.
   bool enable_preemption = true;
@@ -143,7 +141,7 @@ class DistributionScheduler : public Scheduler {
 
   // Checkpointing: serializes the full scheduler state (job table with
   // conditioned distributions and cached survival vectors, pending order,
-  // solve-skip state, consumed_ rows, cache counters, last_root_basis_, and
+  // solve-skip state, consumed_ rows, last_root_basis_, and
   // the valuation engine's cached keys) into a "sched" section, then the
   // predictor into a "predict" section.
   // RestoreState requires a scheduler constructed with the same config and
@@ -174,11 +172,6 @@ class DistributionScheduler : public Scheduler {
   // Eq. 3 running-job consumption per (group, slot) as of the last full
   // cycle: expected free capacity is node_count − expected_consumed()[g][i].
   const std::vector<std::vector<double>>& expected_consumed() const { return consumed_; }
-  int64_t capacity_cache_hits() const { return cache_hits_; }
-  int64_t capacity_cache_misses() const { return cache_misses_; }
-  int64_t valuation_cache_hits() const { return val_hits_; }
-  int64_t valuation_cache_misses() const { return val_misses_; }
-  int64_t valuation_kernel_calls() const { return val_kernel_calls_; }
 
  private:
   struct JobInfo {
@@ -218,6 +211,10 @@ class DistributionScheduler : public Scheduler {
     bool capacity_applied = false;
   };
 
+  // Sets info.point_estimate and info.sched_dist (the histogram, or a point
+  // mass without use_distribution) from a prediction for record_features.
+  void Predict(JobInfo& info) const;
+
   // Recomputes info.effective_utility / info.oe_enabled from the current
   // sched_dist (§4.2.2/§4.2.3). `force` bypasses the adaptive gate (used for
   // fault restarts, which are treated as likely mis-estimates).
@@ -234,7 +231,7 @@ class DistributionScheduler : public Scheduler {
 
   // Values one considered job's (group, slot) options into `out` using the
   // valuation engine's tables (which must already exist: the serial prepare
-  // pass in RunCycleImpl builds them, so this is read-only and safe to run
+  // pass in ValueOptions builds them, so this is read-only and safe to run
   // from pool workers).
   void ValueJobOptions(const JobInfo& info, Time now, ValuationScratch& scratch,
                        JobValuation* out) const;
@@ -243,14 +240,78 @@ class DistributionScheduler : public Scheduler {
   void RefreshRunningSurvival(JobInfo& info, Time now);
   // Removes a job's applied contribution from consumed_ (no-op if none).
   void RetireCapacityContribution(JobInfo& info);
-  // Step 1 of RunCycle: brings consumed_ up to date for `now` by delta
-  // updates (a full rebuild every kCacheRebuildPeriod solves); fills the
-  // cycle's hit/miss counters.
-  void UpdateConsumed(Time now, const ClusterStateView& state, CycleResult* result);
 
-  // RunCycle's body; the public wrapper publishes the cycle's outcome to the
-  // metrics registry around it.
+  // One valued placement option: a considered job on `group`, starting at
+  // start slot `slot` (slot 0 == now).
+  struct Option {
+    JobId job;
+    int group;
+    int slot;
+    double eu;
+    // Expected node consumption at slot offsets [0, cons_len); points into
+    // the per-job staging arena (value_stage_), stable for the cycle.
+    const double* cons;
+    int cons_len;
+  };
+  // A running best-effort job the MILP may preempt (§4.3.5).
+  struct PreemptCandidate {
+    JobId id;
+    int group;
+    double k;
+    std::vector<double> survival;  // Per slot.
+    double cost;
+  };
+  // What a backend decided: indices of the chosen options, in option order
+  // and at most one per job, and the jobs to preempt.
+  struct Choice {
+    std::vector<size_t> options;
+    std::vector<JobId> preempt;
+  };
+
+  // The scheduling cycle, one function per profiler phase. RunCycleImpl
+  // calls them in order; the public RunCycle stamps cycle_seconds and
+  // publishes the outcome to the metrics registry.
   CycleResult RunCycleImpl(Time now, const ClusterStateView& state);
+  // True when nothing changed since a recent solve and no deferred start
+  // comes due, so this cycle cannot improve on the previous plan.
+  bool CanSkipSolve(Time now) const;
+  // Eq. 2/3 (kCapacity): brings consumed_ up to date for `now` by delta
+  // updates (a full rebuild every kCacheRebuildPeriod solves), fills the
+  // cycle's capacity-cache counters, and returns the preemption candidates.
+  std::vector<PreemptCandidate> ChargeCapacity(Time now, const ClusterStateView& state,
+                                               CycleResult* result);
+  // kSelect: retires pending jobs with no achievable utility into
+  // result->abandon and returns the rest, SLO jobs by deadline then
+  // best-effort jobs by submit time, capped at max_pending_considered.
+  std::vector<JobId> SelectPending(Time now, CycleResult* result);
+  // Eq. 1 (kValuation): values every considered job's options, contiguous
+  // per job in `considered` order, and sets `cap` to the remaining expected
+  // capacity per (group, slot).
+  std::vector<Option> ValueOptions(Time now, const ClusterStateView& state,
+                                   const std::vector<JobId>& considered,
+                                   std::vector<std::vector<double>>* cap, CycleResult* result);
+  // kSolve, greedy backend: each job in turn takes its highest-utility
+  // option that still fits `cap`. Never preempts.
+  Choice SolveGreedy(const std::vector<Option>& options, std::vector<std::vector<double>> cap,
+                     CycleResult* result) const;
+  // §4.3.3 (kBuild): compiles the options and preemption candidates into a
+  // 0/1 MILP. Variable i < options.size() is option i; preemption candidate
+  // p is variable options.size() + p. Sets `warm_start` to last cycle's plan
+  // re-proposed (§4.3.6), or empty when no option repeats it.
+  LpModel BuildMilp(Time now, const std::vector<Option>& options,
+                    const std::vector<PreemptCandidate>& preemptables,
+                    const std::vector<std::vector<double>>& cap,
+                    std::vector<double>* warm_start) const;
+  // §4.3.6 (kSolve): solves the model within the node and time budgets from
+  // the warm start and last cycle's root basis. Returns false, choosing
+  // nothing, when no feasible point was found.
+  bool SolveMilp(const LpModel& model, std::vector<double> warm_start, size_t num_options,
+                 const std::vector<PreemptCandidate>& preemptables, Choice* choice,
+                 CycleResult* result);
+  // kPlacement: resets the plans of every considered job, then starts the
+  // chosen slot-0 options, defers the rest, and preempts as chosen.
+  void Place(Time now, const std::vector<JobId>& considered, const std::vector<Option>& options,
+             const Choice& choice, CycleResult* result);
 
   const ClusterConfig& cluster_;
   RuntimePredictor* predictor_;
@@ -270,12 +331,6 @@ class DistributionScheduler : public Scheduler {
   // (the next time an atom of its conditioned distribution crosses a slot
   // boundary); its contribution stays untouched until the horizon expires.
   std::vector<std::vector<double>> consumed_;
-  int64_t cache_hits_ = 0;
-  int64_t cache_misses_ = 0;
-  // Valuation-engine totals (per-cycle deltas land in CycleResult).
-  int64_t val_hits_ = 0;
-  int64_t val_misses_ = 0;
-  int64_t val_kernel_calls_ = 0;
   // Delta updates accumulate float error; a periodic full rebuild squashes
   // any drift long before it can reach the cross-check tolerance.
   int solves_since_rebuild_ = 0;

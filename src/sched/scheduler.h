@@ -62,19 +62,10 @@ struct PlannedPlacement {
   Time start = 0.0;
 };
 
-struct CycleResult {
-  // Jobs to start now, on the given group.
-  std::vector<Placement> start;
-  // Running jobs to preempt (kill-and-requeue).
-  std::vector<JobId> preempt;
-  // Pending jobs the scheduler gives up on (zero achievable utility); the
-  // simulator retires them as unscheduled.
-  std::vector<JobId> abandon;
-  // Deferred reservations (observability only; nothing to execute).
-  std::vector<PlannedPlacement> deferred;
-
-  // Diagnostics for the Fig. 12 scalability study.
-  double solver_seconds = 0.0;  // MILP solve time.
+// Per-cycle diagnostics for the Fig. 12 scalability study, shared by the
+// scheduler's CycleResult and the simulator's per-cycle CycleStats.
+struct CycleDiagnostics {
+  double solver_seconds = 0.0;  // Backend solve time (MILP or greedy).
   double cycle_seconds = 0.0;   // Full cycle: valuation + formulation + solve.
   int milp_variables = 0;
   int milp_rows = 0;
@@ -92,6 +83,18 @@ struct CycleResult {
   int64_t valuation_cache_hits = 0;
   int64_t valuation_cache_misses = 0;
   int64_t valuation_kernel_calls = 0;
+};
+
+struct CycleResult : CycleDiagnostics {
+  // Jobs to start now, on the given group.
+  std::vector<Placement> start;
+  // Running jobs to preempt (kill-and-requeue).
+  std::vector<JobId> preempt;
+  // Pending jobs the scheduler gives up on (zero achievable utility); the
+  // simulator retires them as unscheduled.
+  std::vector<JobId> abandon;
+  // Deferred reservations (observability only; nothing to execute).
+  std::vector<PlannedPlacement> deferred;
 };
 
 class Scheduler {

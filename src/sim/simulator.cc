@@ -74,8 +74,9 @@ struct Event {
 // v2: open-workload mode — SimOptions.open_workload, RunState submission
 // bookkeeping (submissions_closed, last_arrival), and the per-job arrived
 // flag. v5: the per-cycle stats in "metrics" no longer carry the two
-// shard-decomposition fields.
-constexpr uint32_t kSnapshotVersion = 5;
+// shard-decomposition fields. v6: the "sched" section (version 5) no longer
+// carries the scheduler's lifetime cache totals, and "obs" is mandatory.
+constexpr uint32_t kSnapshotVersion = 6;
 
 void SaveSimOptions(SnapshotWriter& writer, const SimOptions& o) {
   writer.WriteDouble(o.cycle_period);
@@ -584,17 +585,12 @@ bool Simulator::ProcessEvent() {
         }
         obs::DecisionLog::Global().Record(std::move(record));
       }
-      result.cycles.push_back(CycleStats{s.now, decision.cycle_seconds,
-                                         decision.solver_seconds, decision.milp_variables,
-                                         decision.milp_rows, decision.milp_nodes,
-                                         pending_count, running_count,
-                                         decision.milp_max_queue_depth,
-                                         decision.milp_incumbent_improvements,
-                                         decision.capacity_cache_hits,
-                                         decision.capacity_cache_misses,
-                                         decision.valuation_cache_hits,
-                                         decision.valuation_cache_misses,
-                                         decision.valuation_kernel_calls});
+      CycleStats stats;
+      static_cast<CycleDiagnostics&>(stats) = decision;
+      stats.time = s.now;
+      stats.pending = pending_count;
+      stats.running_jobs = running_count;
+      result.cycles.push_back(stats);
 
       // 1. Preemptions free capacity first (slot-0 placements may rely on
       //    the freed nodes).
@@ -1255,18 +1251,15 @@ bool Simulator::TryRestoreStateFromBuffer(const std::string& buffer, std::string
   }
   reader.EndSection();
 
-  // Optional registry section (snapshots predating the registry lack it).
-  // Restore is absolute, so the resumed process continues the saved totals.
-  if (reader.ok() && reader.PeekSectionName() == "obs") {
-    reader.BeginSection("obs");
-    // A speculative fork shares the process-global registry with the live
-    // run; applying the section would clobber live totals. Consume it
-    // unapplied (EndSection skips the payload).
-    if (!options_.speculative) {
-      obs::MetricsRegistry::Global().RestoreState(reader);
-    }
-    reader.EndSection();
+  // Registry section. Restore is absolute, so the resumed process continues
+  // the saved totals. A speculative fork shares the process-global registry
+  // with the live run; applying the section would clobber live totals, so
+  // the fork consumes it unapplied (EndSection skips the payload).
+  reader.BeginSection("obs");
+  if (reader.ok() && !options_.speculative) {
+    obs::MetricsRegistry::Global().RestoreState(reader);
   }
+  reader.EndSection();
 
   if (!reader.ok()) {
     return fail(reader.error());

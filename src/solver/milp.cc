@@ -140,17 +140,15 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
   // Phase::kOther: this span nests inside the scheduler's kSolve scope, and
   // tagging it with a profiler phase would double-count the solve time.
   TS_OBS_SPAN("solver.milp", obs::Phase::kOther);
-  using Clock = std::chrono::steady_clock;
-  const auto start_time = Clock::now();
-  const auto seconds_elapsed = [&]() {
-    const std::chrono::duration<double> elapsed = Clock::now() - start_time;
-    return elapsed.count();
-  };
+  // The time-limit check is the only clock read: nothing the solver returns
+  // depends on wall clock unless the limit binds.
+  const auto start_time = std::chrono::steady_clock::now();
   const auto out_of_time = [&]() {
     if (options.time_limit_seconds <= 0.0) {
       return false;
     }
-    return seconds_elapsed() >= options.time_limit_seconds;
+    const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start_time;
+    return elapsed.count() >= options.time_limit_seconds;
   };
 
   MilpSolution result;
@@ -185,11 +183,11 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
 
   // Accepts a candidate incumbent under the deterministic total order:
   // higher objective wins; equal objectives go to the lexicographically
-  // smallest id.
+  // smallest id. Returns whether the candidate replaced the incumbent.
   const auto consider_incumbent = [&](double obj, const std::string& id,
                                       std::vector<double>&& values, bool from_tree) {
     if (have_incumbent && !(obj > best_obj || (obj == best_obj && id < best_id))) {
-      return;
+      return false;
     }
     best = std::move(values);
     best_obj = obj;
@@ -198,7 +196,8 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
     if (from_tree) {
       result.warm_start_returned = false;
     }
-    result.incumbent_improvements.push_back(IncumbentImprovement{seconds_elapsed(), obj});
+    ++result.incumbent_improvements;
+    return true;
   };
 
   std::vector<Node> stack;
@@ -270,7 +269,6 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
       ++result.nodes_explored;
       result.lp_iterations += relax.iterations;
       result.lp_phase1_iterations += relax.stats.phase1_iterations;
-      result.lp_phase2_iterations += relax.stats.phase2_iterations;
       result.lp_dual_iterations += relax.stats.dual_iterations;
       result.ftran_count += relax.stats.ftran;
       result.btran_count += relax.stats.btran;
@@ -326,9 +324,7 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
       ++result.greedy_rounds;
       if (GreedyRound(relax.values, &rounded)) {
         const double obj = model_.ObjectiveValue(rounded);
-        const size_t improvements = result.incumbent_improvements.size();
-        consider_incumbent(obj, node.id + "r", std::move(rounded), /*from_tree=*/true);
-        if (result.incumbent_improvements.size() > improvements) {
+        if (consider_incumbent(obj, node.id + "r", std::move(rounded), /*from_tree=*/true)) {
           ++result.greedy_incumbents;
         }
       }
@@ -361,7 +357,6 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
     }
   }
 
-  result.solve_seconds = seconds_elapsed();
   {
     struct MilpCounters {
       obs::Counter* solves;
@@ -388,8 +383,7 @@ MilpSolution MilpSolver::Solve(const MilpOptions& options) {
     counters->solves->Increment();
     counters->nodes->Add(result.nodes_explored);
     counters->warm_started_nodes->Add(result.warm_started_nodes);
-    counters->incumbent_improvements->Add(
-        static_cast<int64_t>(result.incumbent_improvements.size()));
+    counters->incumbent_improvements->Add(result.incumbent_improvements);
     counters->greedy_rounds->Add(result.greedy_rounds);
     counters->greedy_incumbents->Add(result.greedy_incumbents);
     counters->nodes_hist->Observe(static_cast<double>(result.nodes_explored));

@@ -54,13 +54,6 @@ enum class MilpStatus {
   kInfeasible,  // No integral feasible point exists (or none found + LP infeasible).
 };
 
-// One incumbent replacement during the search (Fig. 12-style anytime
-// diagnostics: how quickly the solver closes in on its final answer).
-struct IncumbentImprovement {
-  double seconds = 0.0;  // Offset from the start of Solve (wall clock).
-  double objective = 0.0;
-};
-
 struct MilpSolution {
   MilpStatus status = MilpStatus::kInfeasible;
   double objective = 0.0;
@@ -70,7 +63,6 @@ struct MilpSolution {
   // LP work breakdown across all nodes (see LpStats). With basis warm-starting
   // most nodes re-optimize in a few dual pivots and phase-1 work collapses.
   int64_t lp_phase1_iterations = 0;
-  int64_t lp_phase2_iterations = 0;
   int64_t lp_dual_iterations = 0;
   int64_t ftran_count = 0;
   int64_t btran_count = 0;
@@ -89,11 +81,10 @@ struct MilpSolution {
   bool warm_start_returned = false;
   // Deepest the subproblem stack ever got (work-queue depth diagnostic).
   int max_queue_depth = 0;
-  // Wall-clock time spent inside Solve.
-  double solve_seconds = 0.0;
-  // Every incumbent replacement, in commit order. The objectives are
-  // deterministic; the timestamps are wall clock (diagnostic only).
-  std::vector<IncumbentImprovement> incumbent_improvements;
+  // Incumbent replacements found by the search (the warm start does not
+  // count). Deterministic, like every field here: the solver reads the clock
+  // only for MilpOptions::time_limit_seconds.
+  int incumbent_improvements = 0;
 };
 
 struct MilpOptions {

@@ -43,7 +43,7 @@ namespace {
 
 // Small two-group cluster and a ~6-minute google workload: big enough to
 // exercise starts, deferrals, preemptions, and abandonment, small enough to
-// keep three runs in the tier-1 budget.
+// keep four runs in the tier-1 budget.
 ExperimentConfig BaseConfig() {
   ExperimentConfig config;
   config.cluster = ClusterConfig::Uniform(2, 16);
@@ -189,6 +189,14 @@ TEST(GoldenTraceTest, WarmStartFourThreads) {
   config.sched.solver_basis_warmstart = true;
   config.sched.solver_threads = 4;
   CheckGolden("warm_start_4threads", config);
+}
+
+// The utility-greedy ablation backend (abl06): same valued options, packed
+// job by job instead of solved as a MILP, so its solver counters stay zero.
+TEST(GoldenTraceTest, GreedyBackend) {
+  ExperimentConfig config = BaseConfig();
+  config.sched.backend = SolverBackend::kGreedy;
+  CheckGolden("greedy_backend", config);
 }
 
 }  // namespace

@@ -112,9 +112,22 @@ TEST(MetricsTest, BeLatencyMeanOverCompleted) {
 }
 
 TEST(MetricsTest, CycleAggregates) {
+  const auto cycle = [](Time time, double cycle_s, double solver_s, int vars, int rows,
+                        int nodes, int pending, int running) {
+    CycleStats c;
+    c.time = time;
+    c.cycle_seconds = cycle_s;
+    c.solver_seconds = solver_s;
+    c.milp_variables = vars;
+    c.milp_rows = rows;
+    c.milp_nodes = nodes;
+    c.pending = pending;
+    c.running_jobs = running;
+    return c;
+  };
   SimResult result;
-  result.cycles.push_back(CycleStats{0.0, 0.1, 0.05, 100, 20, 3, 5, 2});
-  result.cycles.push_back(CycleStats{10.0, 0.3, 0.2, 400, 50, 7, 6, 3});
+  result.cycles.push_back(cycle(0.0, 0.1, 0.05, 100, 20, 3, 5, 2));
+  result.cycles.push_back(cycle(10.0, 0.3, 0.2, 400, 50, 7, 6, 3));
   const RunMetrics m = ComputeMetrics(result, "s");
   EXPECT_DOUBLE_EQ(m.mean_cycle_seconds, 0.2);
   EXPECT_DOUBLE_EQ(m.max_cycle_seconds, 0.3);

@@ -650,10 +650,11 @@ TEST(CheckpointResumeTest, GracefulRejection) {
   EXPECT_FALSE(sim.TryRestoreStateFromBuffer(other_sim.SaveStateToBuffer(), &error));
   EXPECT_NE(error.find("groups"), std::string::npos) << error;
 
-  // A well-formed snapshot from an older format (version 4 still carried the
-  // shard-decomposition state) is rejected by the "meta" version gate. The
-  // first section is "meta": magic (8 bytes), name length (1), "meta" (4),
-  // then its u32 version; patch that and re-seal the trailing CRC.
+  // Well-formed snapshots from older formats (version 4 still carried the
+  // shard-decomposition state, version 5 the scheduler's lifetime cache
+  // totals) are rejected by the "meta" version gate. The first section is
+  // "meta": magic (8 bytes), name length (1), "meta" (4), then its u32
+  // version; patch that and re-seal the trailing CRC.
   SystemInstance source = MakeSystem(SystemKind::kThreeSigma, config.cluster, config.sched);
   Simulator source_sim(config.cluster, source.scheduler.get(), {}, config.sim);
   const std::string current = source_sim.SaveStateToBuffer();
@@ -665,19 +666,42 @@ TEST(CheckpointResumeTest, GracefulRejection) {
   constexpr size_t kMetaNameOffset = 8 + 1;
   constexpr size_t kMetaVersionOffset = kMetaNameOffset + 4;
   ASSERT_EQ(current.substr(kMetaNameOffset, 4), "meta");
-  std::string old_format = current;
-  const uint32_t old_version = 4;
-  const size_t body = old_format.size() - 4;
-  for (size_t i = 0; i < 4; ++i) {
-    old_format[kMetaVersionOffset + i] = static_cast<char>((old_version >> (8 * i)) & 0xff);
+  for (const uint32_t old_version : {4u, 5u}) {
+    std::string old_format = current;
+    const size_t body = old_format.size() - 4;
+    for (size_t i = 0; i < 4; ++i) {
+      old_format[kMetaVersionOffset + i] = static_cast<char>((old_version >> (8 * i)) & 0xff);
+    }
+    const uint32_t crc = Crc32(old_format.data(), body);
+    for (size_t i = 0; i < 4; ++i) {
+      old_format[body + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
+    }
+    error.clear();
+    EXPECT_FALSE(sim.TryRestoreStateFromBuffer(old_format, &error));
+    EXPECT_NE(error.find("unsupported snapshot version " + std::to_string(old_version)),
+              std::string::npos)
+        << error;
   }
-  const uint32_t crc = Crc32(old_format.data(), body);
-  for (size_t i = 0; i < 4; ++i) {
-    old_format[body + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
+
+  // The registry section is mandatory: the current format without "obs" is
+  // rejected with a message instead of resuming with zeroed counters.
+  std::vector<SnapshotSection> sections;
+  ASSERT_TRUE(ListSnapshotSections(current, &sections, &error)) << error;
+  SnapshotWriter writer;
+  bool dropped = false;
+  for (const SnapshotSection& section : sections) {
+    if (section.name == "obs") {
+      dropped = true;
+      continue;
+    }
+    writer.BeginSection(section.name, section.version);
+    writer.WriteBytes(current.data() + section.payload_offset, section.payload_size);
+    writer.EndSection();
   }
+  ASSERT_TRUE(dropped);
   error.clear();
-  EXPECT_FALSE(sim.TryRestoreStateFromBuffer(old_format, &error));
-  EXPECT_NE(error.find("unsupported snapshot version 4"), std::string::npos) << error;
+  EXPECT_FALSE(sim.TryRestoreStateFromBuffer(writer.Finish(), &error));
+  EXPECT_NE(error.find("expected section 'obs'"), std::string::npos) << error;
 }
 
 TEST(SnapshotDeathTest, TruncatedSnapshotAborts) {
