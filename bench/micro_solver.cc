@@ -4,8 +4,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+
 #include "bench/bench_util.h"
 #include "src/common/rng.h"
+#include "src/obs/registry.h"
 #include "src/solver/lp_model.h"
 #include "src/solver/milp.h"
 #include "src/solver/simplex.h"
@@ -38,6 +41,36 @@ LpModel SchedulerShapedModel(int jobs, int options_per_job, int capacity_rows, R
   }
   return model;
 }
+
+// Outcomes of warm dual re-optimizations over one benchmark loop, read as
+// deltas of the LP registry counters and reported per replay:
+//   dual_stalls  — dual runs with more than m + 200 degenerate pivots in a row
+//   dual_caps    — dual runs that hit the 3m + 200 pivot cap
+//   dual_wasted  — dual pivots of runs that then restarted cold
+class DualOutcomes {
+ public:
+  DualOutcomes() : start_(Read()) {}
+
+  void Report(benchmark::State& state, double replays) const {
+    const Totals end = Read();
+    state.counters["dual_stalls"] = static_cast<double>(end.stalls - start_.stalls) / replays;
+    state.counters["dual_caps"] = static_cast<double>(end.caps - start_.caps) / replays;
+    state.counters["dual_wasted"] = static_cast<double>(end.wasted - start_.wasted) / replays;
+  }
+
+ private:
+  struct Totals {
+    int64_t stalls, caps, wasted;
+  };
+  static Totals Read() {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+    return Totals{reg.GetCounter("solver.lp_dual_stalls")->Value(),
+                  reg.GetCounter("solver.lp_dual_cap_hits")->Value(),
+                  reg.GetCounter("solver.lp_dual_wasted_pivots")->Value()};
+  }
+
+  Totals start_;
+};
 
 void BM_SimplexSchedulerShaped(benchmark::State& state) {
   const int jobs = static_cast<int>(state.range(0));
@@ -106,6 +139,7 @@ BENCHMARK(BM_MilpWarmStart)->Arg(0)->Arg(1);
 //   dual/warmnode  — mean dual pivots per warm-started node
 //   greedy         — mean greedy rounding passes per replay
 //   greedy_inc     — mean greedy passes per replay that replaced the incumbent
+//   dual_*         — dual-outcome counters per replay (see DualOutcomes)
 void BM_BnbNodeStreamBasis(benchmark::State& state) {
   const bool warm = state.range(0) != 0 && SolverWarmstartEnv();
   Rng rng(515);
@@ -117,6 +151,7 @@ void BM_BnbNodeStreamBasis(benchmark::State& state) {
   int64_t pivots = 0, ftran = 0, btran = 0, refactor = 0;
   int64_t dual = 0, warm_nodes = 0, replays = 0;
   int64_t greedy_rounds = 0, greedy_incumbents = 0;
+  const DualOutcomes outcomes;
   for (auto _ : state) {
     MilpSolver solver(model, int_vars);
     const MilpSolution sol = solver.Solve(options);
@@ -142,6 +177,7 @@ void BM_BnbNodeStreamBasis(benchmark::State& state) {
       warm_nodes > 0 ? static_cast<double>(dual) / static_cast<double>(warm_nodes) : 0.0;
   state.counters["greedy"] = static_cast<double>(greedy_rounds) / n;
   state.counters["greedy_inc"] = static_cast<double>(greedy_incumbents) / n;
+  outcomes.Report(state, n);
   state.SetLabel(warm ? "warm-basis" : "cold-basis");
 }
 BENCHMARK(BM_BnbNodeStreamBasis)->Arg(0)->Arg(1);
@@ -150,6 +186,7 @@ BENCHMARK(BM_BnbNodeStreamBasis)->Arg(0)->Arg(1);
 // nodes on a SchedulerShapedModel(jobs, options_per_job, 24 capacity rows).
 //   nodes/s  — branch-and-bound nodes per second
 //   greedy   — greedy rounding passes per solve
+//   dual_*   — dual-outcome counters per solve (see DualOutcomes)
 void BnbNodeThroughput(benchmark::State& state, int jobs, int options_per_job) {
   Rng rng(42);
   std::vector<int> int_vars;
@@ -157,6 +194,7 @@ void BnbNodeThroughput(benchmark::State& state, int jobs, int options_per_job) {
   MilpOptions options;
   options.max_nodes = 6;
   int64_t nodes = 0, greedy_rounds = 0, replays = 0;
+  const DualOutcomes outcomes;
   for (auto _ : state) {
     MilpSolver solver(model, int_vars);
     const MilpSolution sol = solver.Solve(options);
@@ -168,6 +206,7 @@ void BnbNodeThroughput(benchmark::State& state, int jobs, int options_per_job) {
   state.counters["nodes/s"] =
       benchmark::Counter(static_cast<double>(nodes), benchmark::Counter::kIsRate);
   state.counters["greedy"] = static_cast<double>(greedy_rounds) / static_cast<double>(replays);
+  outcomes.Report(state, static_cast<double>(replays));
   state.counters["vars"] = model.num_variables();
   state.counters["rows"] = model.num_rows();
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <utility>
 
@@ -90,7 +91,8 @@ class SimplexEngine {
   // Bounded-variable dual simplex from a dual-feasible basis. Returns
   // kOptimal when primal feasibility is restored, kInfeasible when a violated
   // row admits no entering column (proven empty), kIterationLimit when it
-  // gives up (caller falls back to a cold start; never changes the answer).
+  // gives up at the pivot cap (caller falls back to a cold start: same
+  // optimal objective, but a degenerate LP may return another vertex).
   LpStatus RunDual();
 
   // --- Pricing -------------------------------------------------------------
@@ -163,7 +165,11 @@ class SimplexEngine {
 
   // Scratch, sized once and reused by every solve.
   std::vector<double> y_, alpha_, rho_, work_;
-  std::vector<double> row_alpha_;  // The dual ratio test's rho·a_j by column.
+  // The dual ratio test's rho·a_j by column, its eligibility marks, and the
+  // eligible columns in ascending index.
+  std::vector<double> row_alpha_;
+  std::vector<uint8_t> dual_marks_;
+  std::vector<int> dual_eligible_;
   std::vector<int> cand_;  // Partial-pricing candidate list (indices only —
                            // reduced costs are always re-priced fresh).
   struct Scored {
@@ -238,7 +244,6 @@ SimplexEngine::SimplexEngine(const LpModel& model, const LpColumnIndex& columns)
   alpha_.resize(static_cast<size_t>(m_));
   rho_.resize(static_cast<size_t>(m_));
   work_.resize(static_cast<size_t>(m_));
-  row_alpha_.resize(static_cast<size_t>(n_));
 }
 
 void SimplexEngine::LoadModel() {
@@ -898,15 +903,24 @@ LpStatus SimplexEngine::RunPrimal(bool phase1) {
 
 LpStatus SimplexEngine::RunDual() {
   // Safety cap: a dual re-optimization that has not converged in O(m) pivots
-  // is degenerate or numerically stuck; the caller cold-starts instead (same
-  // answer, just slower), so giving up is always safe.
+  // is degenerate or numerically stuck; the caller cold-starts instead. That
+  // returns the same optimal objective, but a degenerate LP may come back at
+  // a different optimal vertex.
   const int max_dual = 3 * m_ + 200;
+  // Stall telemetry: a streak of more than m + 200 dual-degenerate pivots
+  // (winning ratio <= kPivotTol, so the dual objective does not move) marks
+  // the run dual_stalled. Most such runs wander on to the cap, but not all:
+  // giving up at the streak instead moves scheduling decisions (DESIGN.md,
+  // "Stalled dual runs"), so the streak only reports.
+  const int stall_streak_limit = m_ + 200;
   int dual_pivots = 0;
+  int stall_streak = 0;
   while (true) {
     if (iterations_ >= max_iterations_) {
       return LpStatus::kIterationLimit;
     }
     if (dual_pivots >= max_dual) {
+      stats_.dual_capped = true;
       return LpStatus::kIterationLimit;
     }
 
@@ -943,47 +957,15 @@ LpStatus SimplexEngine::RunDual() {
     Btran(&rho_);
     ComputeDuals(&y_);
 
-    // Dual ratio test: among sign-eligible nonbasic columns, enter the one
-    // whose reduced cost hits zero first (smallest |d|/|alpha_r|); ties go to
-    // the larger pivot magnitude, then the smaller index.
-    int entering = -1;
-    double best_ratio = std::numeric_limits<double>::infinity();
-    double best_mag = 0.0;
-    const auto consider = [&](int j, double arj) {
-      if (std::fabs(arj) <= kPivotTol) {
-        return;
-      }
-      const bool at_lower = status_[static_cast<size_t>(j)] == BasisStatus::kAtLower;
-      // x_basic changes by -alpha_r * dx_j; the violated variable must move
-      // toward its bound, and the nonbasic can only move off its own bound.
-      const bool eligible = below ? (at_lower ? arj < 0.0 : arj > 0.0)
-                                  : (at_lower ? arj > 0.0 : arj < 0.0);
-      if (!eligible) {
-        return;
-      }
-      const double d = ReducedCost(j, y_);
-      const double slack = std::max(0.0, at_lower ? -d : d);  // Dual headroom.
-      const double ratio = slack / std::fabs(arj);
-      const bool wins =
-          ratio < best_ratio - 1e-12 ||
-          (ratio < best_ratio + 1e-12 &&
-           (entering < 0 || std::fabs(arj) > best_mag + 1e-12 ||
-            (std::fabs(arj) > best_mag - 1e-12 && j < entering)));
-      if (wins) {
-        entering = j;
-        best_ratio = ratio;
-        best_mag = std::fabs(arj);
-      }
-    };
-    // alpha_rj = rho·a_j, accumulated row by row over the rows where rho is
-    // nonzero, in ascending row order: per column that is the column-order
-    // sum minus its zero terms, which can change only the sign of a zero
-    // alpha_rj (skipped either way). Then the columns in ascending j:
-    // structural, then each slack's unit column (alpha_rj = rho_r), then any
-    // artificials.
+    // alpha_rj = rho·a_j for every column. Structural columns accumulate row
+    // by row over the rows where rho is nonzero, in ascending row order: per
+    // column that is the column-order sum minus its zero terms, which can
+    // change only the sign of a zero alpha_rj (never eligible either way).
+    // Each slack's unit column gives rho_r; any artificials sum their entry.
     const double* const rho = rho_.data();
+    row_alpha_.resize(static_cast<size_t>(total_));
     double* const arow = row_alpha_.data();
-    std::fill(row_alpha_.begin(), row_alpha_.end(), 0.0);
+    std::fill(arow, arow + n_, 0.0);
     for (int r = 0; r < m_; ++r) {
       const double rr = rho[r];
       if (rr == 0.0) {
@@ -993,26 +975,77 @@ LpStatus SimplexEngine::RunDual() {
         arow[t.var] += rr * t.coeff;
       }
     }
-    for (int j = 0; j < n_; ++j) {
-      if (Movable(j)) {
-        consider(j, arow[j]);
-      }
-    }
-    for (int r = 0; r < m_; ++r) {
-      if (Movable(n_ + r)) {
-        consider(n_ + r, rho[r]);
-      }
-    }
+    std::copy(rho, rho + m_, arow + n_);
     for (int j = n_ + m_; j < total_; ++j) {
-      if (Movable(j)) {
-        double arj = 0.0;
-        ForEachColumnEntry(j, [&](int r, double v) { arj += rho[r] * v; });
-        consider(j, arj);
+      double arj = 0.0;
+      ForEachColumnEntry(j, [&](int r, double v) { arj += rho[r] * v; });
+      arow[j] = arj;
+    }
+
+    // Eligible columns: not fixed, with |alpha_rj| > kPivotTol of the sign
+    // that moves the violated variable toward its bound (x_basic changes by
+    // -alpha_rj * dx_j, and a nonbasic can only move off its own bound).
+    // About one column in five qualifies, in no predictable pattern, so a
+    // branch-free pass marks them and a second pass lists them in ascending
+    // index. The marking pass reads raw pointers (a byte store could
+    // otherwise alias the vectors' own fields), which lets the compiler
+    // vectorize it; `toward * alpha_rj` is exact (toward is +-1).
+    const double toward = below ? -1.0 : 1.0;
+    dual_marks_.resize(static_cast<size_t>(total_));
+    dual_eligible_.resize(static_cast<size_t>(total_));
+    uint8_t* const marks = dual_marks_.data();
+    int* const eligible = dual_eligible_.data();
+    const BasisStatus* const status = status_.data();
+    const double* const lower = lower_.data();
+    const double* const upper = upper_.data();
+    const int total = total_;
+    for (int j = 0; j < total; ++j) {
+      const double t = toward * arow[j];
+      marks[j] = static_cast<uint8_t>(
+          (lower[j] != upper[j]) & (((status[j] == BasisStatus::kAtLower) & (t > kPivotTol)) |
+                                    ((status[j] == BasisStatus::kAtUpper) & (t < -kPivotTol))));
+    }
+    int num_eligible = 0;
+    for (int j = 0; j < total; ++j) {
+      eligible[num_eligible] = j;
+      num_eligible += marks[j];
+    }
+
+    // Dual ratio test: among the eligible columns, enter the one whose
+    // reduced cost hits zero first (smallest |d|/|alpha_rj|); ties go to the
+    // larger pivot magnitude, then the smaller index (the list ascends, so a
+    // later column never wins a tie on index).
+    int entering = -1;
+    double best_ratio = std::numeric_limits<double>::infinity();
+    double best_mag = 0.0;
+    for (int k = 0; k < num_eligible; ++k) {
+      const int j = eligible[k];
+      const double mag = std::fabs(arow[j]);
+      // Ratios are >= 0, so once the best one is within the tie band of zero
+      // (a degenerate pivot) nothing beats it outright, and a column that
+      // cannot win the tie on magnitude is passed over without pricing it.
+      if (best_ratio <= 1e-12 && mag <= best_mag + 1e-12) {
+        continue;
+      }
+      const double d = ReducedCost(j, y_);
+      const bool at_lower = status_[static_cast<size_t>(j)] == BasisStatus::kAtLower;
+      const double slack = std::max(0.0, at_lower ? -d : d);  // Dual headroom.
+      const double ratio = slack / mag;
+      const bool wins = ratio < best_ratio - 1e-12 ||
+                        (ratio < best_ratio + 1e-12 && (entering < 0 || mag > best_mag + 1e-12));
+      if (wins) {
+        entering = j;
+        best_ratio = ratio;
+        best_mag = mag;
       }
     }
     if (entering < 0) {
       // No column can repair the violated row: the (child) LP is empty.
       return LpStatus::kInfeasible;
+    }
+    stall_streak = best_ratio <= kPivotTol ? stall_streak + 1 : 0;
+    if (stall_streak > stall_streak_limit) {
+      stats_.dual_stalled = true;
     }
 
     std::fill(alpha_.begin(), alpha_.end(), 0.0);
@@ -1118,8 +1151,9 @@ LpSolution SimplexEngine::Solve(const SimplexOptions& options) {
   // Warm path: install the hint; if it lands primal feasible Phase 1 is
   // skipped outright, if it lands dual feasible the dual simplex re-optimizes
   // in a few pivots (the branch-and-bound child case). Anything else falls
-  // through to a cold start — a warm start can change the pivot count, never
-  // the answer.
+  // through to a cold start — a warm start can change the pivot count and,
+  // on a degenerate LP, which optimal vertex comes back, never the optimal
+  // objective.
   if (!options_->start_basis.empty() && TryWarmStart()) {
     stats_.warm_basis_used = true;
     if (PrimalFeasible()) {
@@ -1201,6 +1235,9 @@ void RecordLpCounters(const LpSolution& result) {
     obs::Counter* btran;
     obs::Counter* refactorizations;
     obs::Counter* warm_basis_used;
+    obs::Counter* dual_stalls;
+    obs::Counter* dual_cap_hits;
+    obs::Counter* dual_wasted_pivots;
     obs::Histogram* pivots_hist;
   };
   static const LpCounters* const counters = [] {
@@ -1215,6 +1252,9 @@ void RecordLpCounters(const LpSolution& result) {
     c->btran = reg.GetCounter("solver.btran");
     c->refactorizations = reg.GetCounter("solver.refactorizations");
     c->warm_basis_used = reg.GetCounter("solver.warm_basis_used");
+    c->dual_stalls = reg.GetCounter("solver.lp_dual_stalls");
+    c->dual_cap_hits = reg.GetCounter("solver.lp_dual_cap_hits");
+    c->dual_wasted_pivots = reg.GetCounter("solver.lp_dual_wasted_pivots");
     c->pivots_hist = reg.GetHistogram(
         "solver.lp_pivots_per_solve", {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
                                        256.0, 512.0, 1024.0});
@@ -1233,6 +1273,16 @@ void RecordLpCounters(const LpSolution& result) {
   counters->refactorizations->Add(result.stats.refactorizations);
   if (result.stats.warm_basis_used) {
     counters->warm_basis_used->Increment();
+  }
+  if (result.stats.dual_stalled) {
+    counters->dual_stalls->Increment();
+  }
+  if (result.stats.dual_capped) {
+    counters->dual_cap_hits->Increment();
+  }
+  if (result.stats.cold_start) {
+    // A dual run that ends in a cold restart contributes nothing to the answer.
+    counters->dual_wasted_pivots->Add(result.stats.dual_iterations);
   }
   counters->pivots_hist->Observe(static_cast<double>(result.iterations));
 }

@@ -34,7 +34,8 @@
 //     re-optimizes with the bounded-variable dual simplex (the branch-and-
 //     bound child case: the parent's optimal basis stays dual feasible under
 //     a bound change), and anything else falls back to a cold start, so a
-//     warm start can never change the *answer*, only the pivot count.
+//     warm start never changes the optimal *objective*, only the pivot count
+//     (and, on a degenerate LP, which optimal vertex comes back).
 //
 // Determinism: every choice (pricing, ratio-test tie-breaks, reinversion
 // order, repair) is a pure function of the model and options — never of
@@ -85,6 +86,12 @@ struct LpStats {
   int refactorizations = 0;   // Eta-file reinversions.
   bool warm_basis_used = false;  // The start basis survived install+repair.
   bool cold_start = false;       // The solve ran the cold two-phase start.
+  // The warm dual re-optimization ran more than m + 200 dual-degenerate
+  // pivots in a row (it may still have converged).
+  bool dual_stalled = false;
+  // The warm dual re-optimization gave up at its 3m + 200 pivot cap and the
+  // solve restarted cold.
+  bool dual_capped = false;
 };
 
 struct LpSolution {
@@ -112,7 +119,8 @@ struct SimplexOptions {
   // A start basis is mapped through the reductions (see presolve.h).
   bool presolve = true;
   // Starting basis hint (e.g. the parent node's optimal basis). Empty means
-  // cold start. Never changes the returned solution, only the pivot count.
+  // cold start. Never changes the optimal objective, only the pivot count (a
+  // degenerate LP may return another optimal vertex).
   LpBasis start_basis;
 };
 

@@ -9,11 +9,12 @@
 //
 // Next to each decision CSV sits <case>.counters.txt: the solver's work
 // counters from the metrics registry (LP solves, pivots, FTRAN/BTRAN,
-// reinversions, warm bases, B&B nodes, greedy rounds). They pin the pivot
-// path itself, so a solver change that keeps decisions but takes a different
-// pivot sequence (a different pricing tie-break, reinversion order, or
-// numerics) fails here too. Two cases run with basis warm-starting off, so
-// the presolved one-shot LP path is pinned as well as the warm node path.
+// reinversions, warm bases, B&B nodes, greedy rounds, dual pivots, cold
+// starts, dual stalls and dual cap hits). They pin the pivot path itself, so
+// a solver change that keeps decisions but takes a different pivot sequence
+// (a different pricing tie-break, reinversion order, or numerics) fails here
+// too. Two cases run with basis warm-starting off, so the presolved one-shot
+// LP path is pinned as well as the warm node path.
 //
 // Updating goldens after an INTENTIONAL scheduling change:
 //
@@ -61,9 +62,10 @@ ExperimentConfig BaseConfig() {
 
 // Registry counters pinned by <case>.counters.txt, one "name value" line each.
 constexpr const char* kPinnedCounters[] = {
-    "solver.lp_solves", "solver.lp_pivots",        "solver.ftran",
-    "solver.btran",     "solver.refactorizations", "solver.warm_basis_used",
-    "solver.milp_nodes", "solver.greedy_rounds",
+    "solver.lp_solves",       "solver.lp_pivots",       "solver.ftran",
+    "solver.btran",           "solver.refactorizations", "solver.warm_basis_used",
+    "solver.milp_nodes",      "solver.greedy_rounds",   "solver.lp_dual_pivots",
+    "solver.lp_cold_starts",  "solver.lp_dual_stalls",  "solver.lp_dual_cap_hits",
 };
 
 struct CaseOutput {
@@ -197,6 +199,24 @@ TEST(GoldenTraceTest, GreedyBackend) {
   ExperimentConfig config = BaseConfig();
   config.sched.backend = SolverBackend::kGreedy;
   CheckGolden("greedy_backend", config);
+}
+
+// Fig. 12's GOOGLE-scale shape (8 x 1573 nodes, 4,000 jobs/h at load 0.95,
+// 96-job MILPs, basis warm-starting on) with no solver time limit, so no
+// wall clock enters. 9 minutes is the shortest whole-minute window whose
+// branch-and-bound reaches the dual simplex's stall path: warm child LPs
+// stuck on a dual-degenerate vertex that run to the pivot cap and restart
+// cold.
+TEST(GoldenTraceTest, Fig12Shaped) {
+  ExperimentConfig config = BaseConfig();
+  config.cluster = ClusterConfig::Uniform(8, 1573);
+  config.workload.duration = Minutes(9.0);
+  config.workload.load = 0.95;
+  config.workload.fixed_job_count = 4000 * 9 / 60;
+  config.sched.max_pending_considered = 96;
+  config.sched.solver_basis_warmstart = true;
+  config.sched.solver_time_limit_seconds = 0.0;
+  CheckGolden("fig12_shaped", config);
 }
 
 }  // namespace

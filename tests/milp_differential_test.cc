@@ -245,10 +245,12 @@ TEST(MilpDifferentialTest, BasisWarmstartNeverChangesTheAnswer) {
 // and credit capacity back through negative coefficients. With `ties`,
 // objectives are 1 or 2 and every capacity row is 2 * (sum of its options)
 // <= an odd rhs, so half-integral LP points with equal objectives are common.
-LpModel SchedulerShapedProgram(Rng& rng, bool preemption, bool ties, std::vector<int>* int_vars) {
-  const int jobs = static_cast<int>(rng.UniformInt(2, 10));
+// `scale` multiplies the job and capacity-row counts (same draws otherwise).
+LpModel SchedulerShapedProgram(Rng& rng, bool preemption, bool ties, std::vector<int>* int_vars,
+                               int scale = 1) {
+  const int jobs = static_cast<int>(rng.UniformInt(2, 10)) * scale;
   const int options_per_job = static_cast<int>(rng.UniformInt(1, 5));
-  const int capacity_rows = static_cast<int>(rng.UniformInt(1, 6));
+  const int capacity_rows = static_cast<int>(rng.UniformInt(1, 6)) * scale;
   LpModel model;
   std::vector<std::vector<LpTerm>> capacity(static_cast<size_t>(capacity_rows));
   std::vector<std::vector<LpTerm>> demand(static_cast<size_t>(jobs));
@@ -579,6 +581,53 @@ TEST(MilpDifferentialTest, ReuseMatchesFreshSolve) {
   EXPECT_GT(dual_pivots, kPrograms);
   EXPECT_GT(cold_starts, kPrograms);
   EXPECT_GT(infeasible, 0);
+}
+
+// A warm dual re-optimization that gives up at the 3m + 200 pivot cap
+// restarts cold, and the restart answers exactly as a cold full-space solve
+// of the same bounds: the abandoned dual leaves nothing behind. The children
+// are the single-fix branches of a tied scheduler-shaped program at eight
+// times the usual size, each warm from the root's optimal basis; some of
+// them stall (a dual-degenerate streak past m + 200 pivots) on the way.
+TEST(MilpDifferentialTest, AbandonedDualReturnsTheColdAnswer) {
+  Rng rng(31036);
+  std::vector<int> int_vars;
+  const LpModel model =
+      SchedulerShapedProgram(rng, /*preemption=*/true, /*ties=*/true, &int_vars, /*scale=*/8);
+  SimplexOptions cold;
+  cold.presolve = false;
+  const LpSolution root = SolveLp(model, cold);
+  ASSERT_EQ(root.status, LpStatus::kOptimal);
+  const int cap = 3 * model.num_rows() + 200;
+  LpModel child(model);
+  int abandoned = 0;
+  int stalled = 0;
+  for (const int v : int_vars) {
+    for (const double side : {0.0, 1.0}) {
+      child.SetVariableBounds(v, side, side);
+      SimplexOptions warm = cold;
+      warm.start_basis = root.basis;
+      const LpSolution got = SolveLp(child, warm);
+      if (got.stats.dual_capped) {
+        ++abandoned;
+        stalled += got.stats.dual_stalled ? 1 : 0;
+        const std::string where = "var " + std::to_string(v) + " fixed at " + std::to_string(side);
+        EXPECT_TRUE(got.stats.cold_start) << where;
+        EXPECT_EQ(got.stats.dual_iterations, cap) << where;
+        const LpSolution want = SolveLp(child, cold);
+        EXPECT_EQ(got.status, want.status) << where;
+        EXPECT_EQ(DoubleBits(got.objective), DoubleBits(want.objective)) << where;
+        ASSERT_EQ(got.values.size(), want.values.size()) << where;
+        for (size_t j = 0; j < got.values.size(); ++j) {
+          EXPECT_EQ(DoubleBits(got.values[j]), DoubleBits(want.values[j])) << where << " var " << j;
+        }
+        EXPECT_TRUE(got.basis.status == want.basis.status) << where;
+      }
+      child.SetVariableBounds(v, model.lower(v), model.upper(v));
+    }
+  }
+  EXPECT_GT(abandoned, 0);
+  EXPECT_GT(stalled, 0);
 }
 
 }  // namespace
